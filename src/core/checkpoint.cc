@@ -5,6 +5,7 @@
 #include <fstream>
 #include <vector>
 
+#include "common/hash.h"
 #include "common/string_util.h"
 
 namespace halk::core {
@@ -13,15 +14,6 @@ namespace {
 
 constexpr char kMagic[8] = {'H', 'A', 'L', 'K', 'C', 'K', 'P', 'T'};
 constexpr uint32_t kVersion = 1;
-
-uint64_t Fnv1a(const uint8_t* data, size_t n, uint64_t seed) {
-  uint64_t h = seed;
-  for (size_t i = 0; i < n; ++i) {
-    h ^= data[i];
-    h *= 0x100000001b3ULL;
-  }
-  return h;
-}
 
 class Writer {
  public:
@@ -35,14 +27,14 @@ class Writer {
   void Raw(const void* data, size_t n) {
     out_->write(static_cast<const char*>(data),
                 static_cast<std::streamsize>(n));
-    hash_ = Fnv1a(static_cast<const uint8_t*>(data), n, hash_);
+    hash_ = Fnv1a64(data, n, hash_);
   }
 
   uint64_t hash() const { return hash_; }
 
  private:
   std::ofstream* out_;
-  uint64_t hash_ = 0xcbf29ce484222325ULL;
+  uint64_t hash_ = kFnv1a64Seed;
 };
 
 class Reader {
@@ -57,7 +49,7 @@ class Reader {
   bool Raw(void* data, size_t n) {
     in_->read(static_cast<char*>(data), static_cast<std::streamsize>(n));
     if (!in_->good()) return false;
-    hash_ = Fnv1a(static_cast<const uint8_t*>(data), n, hash_);
+    hash_ = Fnv1a64(data, n, hash_);
     return true;
   }
 
@@ -65,7 +57,7 @@ class Reader {
 
  private:
   std::ifstream* in_;
-  uint64_t hash_ = 0xcbf29ce484222325ULL;
+  uint64_t hash_ = kFnv1a64Seed;
 };
 
 void WriteConfig(Writer* w, const ModelConfig& c) {

@@ -162,8 +162,8 @@ class QueryModel {
 
   /// Operator-level view of the model (core/operator_model.h) when it can
   /// evaluate individual batched operators over a shared compute DAG; null
-  /// otherwise. The planner-backed serving path requires it and falls back
-  /// to per-layout whole-query batching when absent.
+  /// otherwise. serving::QueryServer requires it and refuses a model
+  /// without it at construction.
   virtual OperatorModel* AsOperatorModel() { return nullptr; }
 
   const ModelConfig& config() const { return config_; }

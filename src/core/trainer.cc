@@ -5,6 +5,7 @@
 #include <optional>
 #include <sstream>
 
+#include "common/hash.h"
 #include "common/logging.h"
 #include "core/evaluator.h"
 #include "core/query_groups.h"
@@ -42,7 +43,7 @@ std::string TrainerOptionsFingerprint(const TrainerOptions& options) {
     rendered << query::StructureName(s) << ",";
   }
   std::ostringstream out;
-  out << std::hex << obs::Fnv1a64(rendered.str());
+  out << std::hex << Fnv1a64(rendered.str());
   return out.str();
 }
 

@@ -3,9 +3,12 @@
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
+#include <chrono>
 #include <cstring>
 #include <utility>
 
@@ -26,8 +29,21 @@ const char* ReasonPhrase(int status) {
   }
 }
 
+using Clock = std::chrono::steady_clock;
+
+/// Arms SO_RCVTIMEO or SO_SNDTIMEO (`option`) on `fd` with `budget`, at
+/// least 1 ms (a zero timeval would mean "block forever").
+void SetSocketTimeout(int fd, int option, std::chrono::microseconds budget) {
+  const int64_t us = std::max<int64_t>(budget.count(), 1000);
+  timeval tv;
+  tv.tv_sec = static_cast<time_t>(us / 1000000);
+  tv.tv_usec = static_cast<suseconds_t>(us % 1000000);
+  setsockopt(fd, SOL_SOCKET, option, &tv, sizeof(tv));
+}
+
 /// Writes all of `data`, tolerating partial writes and EINTR. MSG_NOSIGNAL
-/// turns a peer hangup into EPIPE instead of killing the process.
+/// turns a peer hangup into EPIPE instead of killing the process; a send
+/// that times out (SO_SNDTIMEO) abandons the response the same way.
 void SendAll(int fd, const std::string& data) {
   size_t sent = 0;
   while (sent < data.size()) {
@@ -35,7 +51,7 @@ void SendAll(int fd, const std::string& data) {
                            MSG_NOSIGNAL);
     if (n < 0) {
       if (errno == EINTR) continue;
-      return;  // peer went away; nothing useful to do
+      return;  // peer went away or stalled; nothing useful to do
     }
     sent += static_cast<size_t>(n);
   }
@@ -175,8 +191,11 @@ void HttpServer::AcceptLoop() {
 }
 
 void HttpServer::ServeConnection(int fd) {
+  SetSocketTimeout(fd, SO_SNDTIMEO, kIoDeadline);
   // Read the request head (through the blank line); the telemetry
-  // endpoints take no bodies, so anything after it is ignored.
+  // endpoints take no bodies, so anything after it is ignored. The whole
+  // head shares one deadline, so a peer dribbling bytes cannot extend it.
+  const Clock::time_point deadline = Clock::now() + kIoDeadline;
   std::string head;
   char buf[1024];
   while (head.find("\r\n\r\n") == std::string::npos) {
@@ -185,9 +204,14 @@ void HttpServer::ServeConnection(int fd) {
                                   "request too large\n"}));
       return;
     }
+    const auto left = std::chrono::duration_cast<std::chrono::microseconds>(
+        deadline - Clock::now());
+    if (left.count() <= 0) return;  // deadline expired: drop the connection
+    SetSocketTimeout(fd, SO_RCVTIMEO, left);
     const ssize_t n = recv(fd, buf, sizeof(buf), 0);
     if (n < 0 && errno == EINTR) continue;
-    if (n <= 0) return;  // peer closed before a full request head
+    // Peer closed before a full request head, or the receive timed out.
+    if (n <= 0) return;
     head.append(buf, static_cast<size_t>(n));
   }
 

@@ -2,6 +2,7 @@
 #define HALK_NET_HTTP_SERVER_H_
 
 #include <atomic>
+#include <chrono>
 #include <functional>
 #include <map>
 #include <string>
@@ -41,9 +42,18 @@ struct HttpResponse {
 /// binary. Not a general web server: no keep-alive, no TLS, no bodies;
 /// bind it to loopback (the default) and put a real proxy in front for
 /// anything public.
+///
+/// Every accepted connection gets an I/O deadline: the request head must
+/// arrive within kIoDeadline of the accept, and each send may block at
+/// most that long. A client that stalls past it is disconnected, so idle
+/// or slow peers cannot pin the accept threads and wedge /healthz.
 class HttpServer {
  public:
   using Handler = std::function<HttpResponse(const HttpRequest&)>;
+
+  /// Per-connection budget for reading the request head, and per-send
+  /// budget for writing the response (SO_RCVTIMEO / SO_SNDTIMEO).
+  static constexpr std::chrono::milliseconds kIoDeadline{2000};
 
   struct Options {
     /// Numeric address to bind; loopback by default so the telemetry

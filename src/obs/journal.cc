@@ -284,15 +284,6 @@ std::string JsonLineBuilder::Finish() const {
   return out;
 }
 
-uint64_t Fnv1a64(const std::string& text) {
-  uint64_t hash = 0xcbf29ce484222325ull;  // FNV-1a 64 offset basis
-  for (const char c : text) {
-    hash ^= static_cast<unsigned char>(c);
-    hash *= 0x100000001b3ull;  // FNV-1a 64 prime
-  }
-  return hash;
-}
-
 TrainJournal::TrainJournal(std::unique_ptr<std::ofstream> file,
                            std::ostream* out, std::string path)
     : path_(std::move(path)), file_(std::move(file)), out_(out) {}

@@ -9,6 +9,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/hash.h"  // Fnv1a64: journals key runs by options hash
 #include "common/mutex.h"
 #include "common/status.h"
 #include "common/thread_annotations.h"
@@ -81,11 +82,6 @@ class JsonLineBuilder {
   JsonLineBuilder& Raw(const std::string& key, std::string rendered);
   std::vector<std::pair<std::string, std::string>> fields_;
 };
-
-/// FNV-1a 64-bit over the bytes of `text`; the journal keys runs by
-/// `seed` + this fingerprint of the rendered trainer options so two
-/// journals are comparable iff their configurations match.
-uint64_t Fnv1a64(const std::string& text);
 
 /// Append-only JSONL training journal: one flat JSON object per line,
 /// flushed per record so a crashed run keeps every completed step. Record

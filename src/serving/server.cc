@@ -10,7 +10,7 @@
 #include "obs/trace.h"
 #include "plan/explain.h"
 #include "query/dnf.h"
-#include "serving/batcher.h"
+#include "shard/shard_worker.h"
 
 namespace halk::serving {
 
@@ -57,8 +57,9 @@ QueryServer::QueryServer(core::QueryModel* model,
           "serving.batch_size", Histogram::ExponentialBounds(1.0, 2.0, 12))),
       queue_depth_(metrics_.GetGauge("serving.queue_depth")),
       in_flight_(metrics_.GetGauge("serving.in_flight")),
+      scan_entities_scanned_(metrics_.GetCounter("scan.entities_scanned")),
+      scan_entities_pruned_(metrics_.GetCounter("scan.entities_pruned")),
       plan_requests_(metrics_.GetCounter("plan.requests")),
-      plan_fallback_(metrics_.GetCounter("plan.fallback")),
       plan_nodes_(metrics_.GetCounter("plan.nodes")),
       plan_unique_nodes_(metrics_.GetCounter("plan.unique_nodes")),
       plan_node_evals_(metrics_.GetCounter("plan.node_evals")),
@@ -78,6 +79,12 @@ QueryServer::QueryServer(core::QueryModel* model,
         {{"op", query::OpTypeName(static_cast<query::OpType>(op))}});
   }
   HALK_CHECK(model != nullptr);
+  // Serving plans every chunk through the operator-level interface; only
+  // HaLk variants provide it (baselines are evaluated via core::Evaluator).
+  core::OperatorModel* ops = model_->AsOperatorModel();
+  HALK_CHECK(ops != nullptr) << "QueryServer requires a model implementing "
+                                "core::OperatorModel; "
+                             << model_->name() << " does not";
   HALK_CHECK_GT(options_.num_workers, 0);
   HALK_CHECK_GT(options_.max_batch_size, 0u);
   HALK_CHECK_GT(options_.queue_capacity, 0u);
@@ -101,27 +108,20 @@ QueryServer::QueryServer(core::QueryModel* model,
         options_.query_stats_capacity, /*feedback_capacity=*/4096,
         options_.feedback_min_samples);
   }
-  if (options_.use_planner) {
-    // Baseline models without an operator-level interface fall back to the
-    // legacy per-layout batching path (plan.fallback counts the requests).
-    core::OperatorModel* ops = model_->AsOperatorModel();
-    if (ops != nullptr) {
-      if (options_.subtree_cache_bytes > 0) {
-        subtree_cache_ =
-            std::make_unique<SubtreeCache>(options_.subtree_cache_bytes);
-      }
-      const kg::GraphStats* stats =
-          (kg_ != nullptr && kg_->finalized()) ? &kg_->stats() : nullptr;
-      plan::PlannerOptions planner_options;
-      planner_options.apply_rewrites = options_.planner_rewrites;
-      planner_options.feedback =
-          options_.use_feedback ? query_stats_.get() : nullptr;
-      planner_ = std::make_unique<plan::Planner>(
-          stats, model_->config().num_entities, planner_options);
-      plan_executor_ = std::make_unique<plan::PlanExecutor>(
-          model_, ops, subtree_cache_.get());
-    }
+  if (options_.subtree_cache_bytes > 0) {
+    subtree_cache_ =
+        std::make_unique<SubtreeCache>(options_.subtree_cache_bytes);
   }
+  const kg::GraphStats* stats =
+      (kg_ != nullptr && kg_->finalized()) ? &kg_->stats() : nullptr;
+  plan::PlannerOptions planner_options;
+  planner_options.apply_rewrites = options_.planner_rewrites;
+  planner_options.feedback =
+      options_.use_feedback ? query_stats_.get() : nullptr;
+  planner_ = std::make_unique<plan::Planner>(
+      stats, model_->config().num_entities, planner_options);
+  plan_executor_ =
+      std::make_unique<plan::PlanExecutor>(model_, ops, subtree_cache_.get());
   workers_.reserve(static_cast<size_t>(options_.num_workers));
   for (int i = 0; i < options_.num_workers; ++i) {
     workers_.emplace_back([this] { WorkerLoop(); });
@@ -391,8 +391,7 @@ void QueryServer::ServeChunk(
   if (live.empty()) return;
 
   // DNF-expand every live request; branches (not requests) are the unit of
-  // planning and batching, so one plan (or one EmbedQueries call) can mix
-  // branches of many requests.
+  // planning, so one plan can mix branches of many requests.
   std::vector<std::vector<query::QueryGraph>> branches(live.size());
   for (size_t r = 0; r < live.size(); ++r) {
     obs::SpanGuard dnf(live[r]->trace, "dnf_expand");
@@ -401,110 +400,7 @@ void QueryServer::ServeChunk(
     dnf.End();
   }
 
-  if (planner_ != nullptr) {
-    ServeChunkPlanned(&live, branches, any_traced);
-  } else {
-    if (options_.use_planner) {
-      plan_fallback_->Increment(static_cast<int64_t>(live.size()));
-    }
-    ServeChunkLegacy(&live, branches, any_traced);
-  }
-}
-
-void QueryServer::ServeChunkLegacy(
-    std::vector<std::unique_ptr<PendingRequest>>* live_ptr,
-    const std::vector<std::vector<query::QueryGraph>>& branches,
-    bool any_traced) {
-  std::vector<std::unique_ptr<PendingRequest>>& live = *live_ptr;
-  std::vector<BatchItem> items;
-  for (size_t r = 0; r < live.size(); ++r) {
-    for (const query::QueryGraph& branch : branches[r]) {
-      items.push_back({r, &branch});
-    }
-  }
-
-  // Batch assembly is one pass shared by the whole chunk, so every traced
-  // request gets a batch_assembly span with the same endpoints.
-  const int64_t assembly_start = any_traced ? obs::NowNs() : 0;
-  const std::vector<MicroBatch> micro_batches =
-      FormBatches(items, options_.max_batch_size);
-  if (any_traced) {
-    const int64_t assembly_end = obs::NowNs();
-    for (const std::unique_ptr<PendingRequest>& request : live) {
-      obs::RecordSpan(request->trace, "batch_assembly", assembly_start,
-                      assembly_end,
-                      {{"batches", static_cast<double>(micro_batches.size())},
-                       {"chunk_requests", static_cast<double>(live.size())}});
-    }
-  }
-
-  // Per-request accumulation over branch distances (the DNF union
-  // semantics, as in Evaluator::ScoreAllEntities). Unsharded, the worker
-  // keeps a running elementwise minimum and ranks in place; sharded, it
-  // collects each request's embedded branches (cheap tensor handles) and
-  // hands ranking to the scatter-gather coordinator.
-  const bool sharded = coordinator_ != nullptr;
-  std::vector<std::vector<float>> best(live.size());
-  std::vector<shard::BranchSet> branch_sets(sharded ? live.size() : 0);
-  std::vector<float> dist;
-  std::vector<size_t> batch_requests;  // distinct request indices per batch
-  for (const MicroBatch& batch : micro_batches) {
-    batch_size_->Observe(static_cast<double>(batch.items.size()));
-    std::vector<const query::QueryGraph*> graphs;
-    graphs.reserve(batch.items.size());
-    for (const BatchItem& item : batch.items) graphs.push_back(item.graph);
-    const int64_t embed_start = any_traced ? obs::NowNs() : 0;
-    core::EmbeddingBatch embedding = model_->EmbedQueries(graphs);
-    if (any_traced) {
-      // A micro-batch embeds branches of many requests in one model call;
-      // each participating trace records the shared embed interval.
-      const int64_t embed_end = obs::NowNs();
-      batch_requests.clear();
-      for (const BatchItem& item : batch.items) {
-        batch_requests.push_back(item.request_index);
-      }
-      std::sort(batch_requests.begin(), batch_requests.end());
-      batch_requests.erase(
-          std::unique(batch_requests.begin(), batch_requests.end()),
-          batch_requests.end());
-      for (const size_t r : batch_requests) {
-        obs::RecordSpan(live[r]->trace, "embed", embed_start, embed_end,
-                        {{"rows", static_cast<double>(batch.items.size())}});
-      }
-    }
-    for (size_t row = 0; row < batch.items.size(); ++row) {
-      const size_t r = batch.items[row].request_index;
-      if (sharded) {
-        shard::BranchSet& set = branch_sets[r];
-        if (set.embeddings.empty() ||
-            set.embeddings.back().a.impl() != embedding.a.impl()) {
-          set.embeddings.push_back(embedding);
-        }
-        set.rows.emplace_back(set.embeddings.size() - 1,
-                              static_cast<int64_t>(row));
-        continue;
-      }
-      const bool traced = live[r]->trace.active();
-      const int64_t score_start = traced ? obs::NowNs() : 0;
-      model_->DistancesToAll(embedding, static_cast<int64_t>(row), &dist);
-      if (best[r].empty()) {
-        best[r] = dist;
-      } else {
-        for (size_t i = 0; i < dist.size(); ++i) {
-          best[r][i] = std::min(best[r][i], dist[i]);
-        }
-      }
-      if (traced) {
-        obs::RecordSpan(live[r]->trace, "score", score_start, obs::NowNs(),
-                        {{"entities", static_cast<double>(dist.size())}});
-      }
-    }
-  }
-
-  for (size_t r = 0; r < live.size(); ++r) {
-    FinishRanked(live[r].get(), &best[r],
-                 sharded ? &branch_sets[r] : nullptr);
-  }
+  ServeChunkPlanned(&live, branches, any_traced);
 }
 
 void QueryServer::ServeChunkPlanned(
@@ -563,9 +459,8 @@ void QueryServer::ServeChunkPlanned(
     embed_ctx = {trace.tracer, trace.trace_id, embed_span};
   }
 
-  // Batch assembly on the planner path is Prepare: the top-down subtree
-  // cache probe plus grouping of still-needed nodes into batched operator
-  // calls.
+  // Batch assembly is Prepare: the top-down subtree cache probe plus
+  // grouping of still-needed nodes into batched operator calls.
   const bool analytics = query_stats_ != nullptr && options_.analytics;
   const int64_t sample_period =
       std::max<int64_t>(1, options_.analyze_sample_period);
@@ -681,50 +576,27 @@ void QueryServer::ServeChunkPlanned(
     }
   }
 
-  // DNF union semantics, exactly as the legacy path: per request, the
-  // elementwise minimum over its branch roots (unsharded) or the branch
-  // set handed to the scatter-gather coordinator (sharded).
-  const bool sharded = coordinator_ != nullptr;
-  std::vector<std::vector<float>> best(live.size());
-  std::vector<shard::BranchSet> branch_sets(sharded ? live.size() : 0);
-  std::vector<float> dist;
+  // Each request ranks over its own branch roots (the DNF union is the
+  // minimum distance across them).
+  std::vector<std::vector<int64_t>> rows(live.size());
   for (size_t j = 0; j < plan.roots.size(); ++j) {
-    const size_t r = plan.roots[j].request_index;
-    if (sharded) {
-      shard::BranchSet& set = branch_sets[r];
-      if (set.embeddings.empty()) set.embeddings.push_back(embedding);
-      set.rows.emplace_back(0, static_cast<int64_t>(j));
-      continue;
-    }
-    const bool traced = live[r]->trace.active();
-    const int64_t score_start = traced ? obs::NowNs() : 0;
-    model_->DistancesToAll(embedding, static_cast<int64_t>(j), &dist);
-    if (best[r].empty()) {
-      best[r] = dist;
-    } else {
-      for (size_t i = 0; i < dist.size(); ++i) {
-        best[r][i] = std::min(best[r][i], dist[i]);
-      }
-    }
-    if (traced) {
-      obs::RecordSpan(live[r]->trace, "score", score_start, obs::NowNs(),
-                      {{"entities", static_cast<double>(dist.size())}});
-    }
+    rows[plan.roots[j].request_index].push_back(static_cast<int64_t>(j));
   }
-
   for (size_t r = 0; r < live.size(); ++r) {
-    FinishRanked(live[r].get(), &best[r],
-                 sharded ? &branch_sets[r] : nullptr);
+    FinishRanked(live[r].get(), embedding, rows[r]);
   }
 }
 
 void QueryServer::FinishRanked(PendingRequest* request,
-                               std::vector<float>* best,
-                               shard::BranchSet* branch_set) {
+                               const core::EmbeddingBatch& embedding,
+                               const std::vector<int64_t>& rows) {
   TopKAnswer answer;
-  if (branch_set != nullptr) {
+  if (coordinator_ != nullptr) {
+    shard::BranchSet branch_set;
+    branch_set.embeddings.push_back(embedding);
+    for (const int64_t row : rows) branch_set.rows.emplace_back(0, row);
     shard::ShardedTopK top = coordinator_->TopKEmbedded(
-        *branch_set, request->k, request->deadline, request->trace);
+        branch_set, request->k, request->deadline, request->trace);
     if (!top.ok() && !top.partial()) {
       Finish(request, top.status);
       return;
@@ -733,9 +605,22 @@ void QueryServer::FinishRanked(PendingRequest* request,
     answer.coverage = top.coverage;
     answer.completeness = top.status;
   } else {
+    // The same exact, bound-aware scan a shard worker runs, over the whole
+    // table: a store-backed model streams it through its columnar,
+    // block-skipping EntityScanSource instead of gathering rows.
     obs::SpanGuard rank(request->trace, "rank");
-    FillAnswer(core::TopKFromDistances(*best, request->k), &answer);
+    std::vector<core::BranchRef> refs;
+    refs.reserve(rows.size());
+    for (const int64_t row : rows) refs.push_back({&embedding, row});
+    core::TopKAccumulator acc(request->k);
+    core::ScanStats stats;
+    model_->AccumulateTopKRange(refs, 0, model_->config().num_entities, &acc,
+                                &stats);
+    scan_entities_scanned_->Increment(stats.entities_scanned);
+    scan_entities_pruned_->Increment(stats.entities_pruned);
+    shard::AnnotateScan(&rank, stats);
     rank.End();
+    FillAnswer(acc.Take(), &answer);
   }
   // Degraded answers are never cached: the outage must not outlive the
   // replicas that caused it.
@@ -748,12 +633,6 @@ void QueryServer::FinishRanked(PendingRequest* request,
 
 Result<std::string> QueryServer::Explain(
     const query::QueryGraph& query) const {
-  if (planner_ == nullptr) {
-    return Status::Unavailable(
-        options_.use_planner
-            ? "planner unavailable: model does not expose OperatorModel"
-            : "planner path is disabled (ServerOptions::use_planner)");
-  }
   HALK_RETURN_NOT_OK(ValidateQuery(query, /*k=*/1));
   const std::vector<query::QueryGraph> branches = query::ToDnf(query);
   std::vector<plan::PlanItem> items;
@@ -777,12 +656,6 @@ Result<std::string> QueryServer::Explain(
 
 Result<std::string> QueryServer::ExplainAnalyze(
     const query::QueryGraph& query) {
-  if (planner_ == nullptr) {
-    return Status::Unavailable(
-        options_.use_planner
-            ? "planner unavailable: model does not expose OperatorModel"
-            : "planner path is disabled (ServerOptions::use_planner)");
-  }
   HALK_RETURN_NOT_OK(ValidateQuery(query, /*k=*/1));
   const std::vector<query::QueryGraph> branches = query::ToDnf(query);
   std::vector<plan::PlanItem> items;

@@ -39,7 +39,7 @@ struct ServerOptions {
   int num_workers = 4;
   /// Admission-queue capacity; Submit rejects (kUnavailable) beyond it.
   size_t queue_capacity = 1024;
-  /// Upper bound on queries per EmbedQueries call.
+  /// Upper bound on requests a worker plans and serves as one chunk.
   size_t max_batch_size = 16;
   /// How long a worker lingers for stragglers when its batch is not full.
   std::chrono::microseconds batch_linger{100};
@@ -78,14 +78,8 @@ struct ServerOptions {
   std::chrono::microseconds slow_query_threshold{0};
   /// Distinct query fingerprints retained by the slow-query log.
   size_t slow_query_log_capacity = 32;
-  /// Route micro-batches through the cost-based planner and shared-graph
-  /// executor (src/plan/): one deduplicated compute DAG per chunk instead
-  /// of per-layout EmbedQueries batches. Answers stay bit-identical to
-  /// Evaluator::TopK. Silently falls back to the legacy path when the
-  /// model does not expose OperatorModel (plan.fallback counts it).
-  bool use_planner = true;
   /// Byte budget of the subtree (intermediate-result) cache; 0 disables
-  /// it. Only used on the planner path.
+  /// it.
   size_t subtree_cache_bytes = 8u << 20;
   /// Apply the algebraic rewrite pass (plan/rewrite.h) before planning.
   /// Off by default: rewrites preserve answer *sets* but swap which
@@ -97,8 +91,9 @@ struct ServerOptions {
   /// /queryz, and export the plan.qerror / plan.node_us metric families.
   /// Request-level aggregation (hits, latency, plan shape) covers every
   /// request; the per-node membership probes run on one planned chunk in
-  /// analyze_sample_period, so the amortized cost stays within the
-  /// bench-smoke CI gate (analytics-on throughput within 5% of off).
+  /// analyze_sample_period to amortize their cost (bench_serving_throughput
+  /// reports analytics-on over analytics-off throughput as
+  /// `analytics_ratio`; not gated).
   bool analytics = true;
   /// Entities probed per plan node for the sampled actual-rows estimate.
   int64_t analyze_sample_entities = 256;
@@ -143,21 +138,25 @@ struct TopKAnswer {
 /// Concurrent query-serving engine over a trained QueryModel (Sec. IV's
 /// evaluation path, productionized): any thread submits grounded query
 /// graphs; a bounded MPMC queue applies admission control; worker threads
-/// coalesce pending requests into micro-batches per structure layout and
-/// answer them with one EmbedQueries call each; canonical-fingerprint
-/// LRU caching short-circuits repeated queries; counters and latency
-/// histograms are exported through a MetricsRegistry.
+/// coalesce pending requests into chunks, embed each chunk through one
+/// deduplicated plan (src/plan/), and rank every request with the model's
+/// bound-aware top-k scan — inline on the worker, or scattered over the
+/// entity shards; canonical-fingerprint LRU caching short-circuits
+/// repeated queries; counters and latency histograms are exported through
+/// a MetricsRegistry.
 ///
 /// Union queries are DNF-expanded (exactly as Evaluator does) and their
-/// branches batch independently — a branch of one request can share a
-/// micro-batch with branches of other requests.
+/// branches are planned independently — a branch of one request can share
+/// plan nodes with branches of other requests.
 class QueryServer {
  public:
-  /// `model` must stay alive for the server's lifetime and is shared with
-  /// the workers — inference paths (EmbedQueries / DistancesToAll) only
-  /// read parameters, so no external synchronization is needed as long as
-  /// nobody trains the model while it serves. `kg` (optional, may be null)
-  /// adds grounding validation against the graph's vocabulary.
+  /// `model` must stay alive for the server's lifetime, must implement
+  /// core::OperatorModel (AsOperatorModel() non-null; checked, fatal
+  /// otherwise), and is shared with the workers — inference paths (the
+  /// operators and AccumulateTopKRange) only read parameters, so no
+  /// external synchronization is needed as long as nobody trains the
+  /// model while it serves. `kg` (optional, may be null) adds grounding
+  /// validation against the graph's vocabulary.
   QueryServer(core::QueryModel* model, const kg::KnowledgeGraph* kg,
               const ServerOptions& options);
   ~QueryServer();
@@ -191,8 +190,7 @@ class QueryServer {
   /// Renders the plan the server would run for `query` — node order,
   /// estimated selectivities, dedup and subtree-cache annotations —
   /// without executing it (the sparql_endpoint `.explain` command).
-  /// kUnavailable when the planner path is off or unsupported by the
-  /// model; kInvalidArgument for malformed queries.
+  /// kInvalidArgument for malformed queries.
   [[nodiscard]] Result<std::string> Explain(
       const query::QueryGraph& query) const;
 
@@ -201,13 +199,13 @@ class QueryServer {
   /// per-node q-error, attributed wall time, and cache annotations (the
   /// sparql_endpoint `.analyze` command). Unlike Explain this *runs* the
   /// plan — it warms the subtree cache exactly as serving would, but
-  /// bypasses the queue, the answer cache, and ranking. Same availability
-  /// errors as Explain.
+  /// bypasses the queue, the answer cache, and ranking. Same errors as
+  /// Explain.
   [[nodiscard]] Result<std::string> ExplainAnalyze(
       const query::QueryGraph& query);
 
-  /// The intermediate-result cache, or null when the planner path is off
-  /// or subtree_cache_bytes is 0. Invalidation hooks live here:
+  /// The intermediate-result cache, or null when subtree_cache_bytes is
+  /// 0. Invalidation hooks live here:
   /// InvalidateRelation / Clear after KG or parameter updates.
   SubtreeCache* subtree_cache() { return subtree_cache_.get(); }
 
@@ -260,23 +258,21 @@ class QueryServer {
 
   void WorkerLoop();
   void ServeChunk(std::vector<std::unique_ptr<PendingRequest>>* chunk);
-  /// Planner path: one deduplicated compute DAG for the whole chunk, one
-  /// embedding row per DNF branch root. `branches[r]` are request r's
-  /// DNF branches; both vectors are indexed by position in `live`.
+  /// One deduplicated compute DAG for the whole chunk, one embedding row
+  /// per DNF branch root. `branches[r]` are request r's DNF branches; both
+  /// vectors are indexed by position in `live`.
   void ServeChunkPlanned(
       std::vector<std::unique_ptr<PendingRequest>>* live,
       const std::vector<std::vector<query::QueryGraph>>& branches,
       bool any_traced);
-  /// Legacy path: per-layout EmbedQueries micro-batches (serving/batcher).
-  void ServeChunkLegacy(
-      std::vector<std::unique_ptr<PendingRequest>>* live,
-      const std::vector<std::vector<query::QueryGraph>>& branches,
-      bool any_traced);
-  /// Shared tail of both paths: rank request r from its accumulated
-  /// per-entity minimum distances (unsharded) or branch set (sharded),
-  /// fill the answer cache, and resolve the promise.
-  void FinishRanked(PendingRequest* request, std::vector<float>* best,
-                    shard::BranchSet* branch_set);
+  /// Ranks a request over its branch roots — rows `rows` of `embedding`,
+  /// scored by their minimum distance (DNF union semantics) — fills the
+  /// answer cache, and resolves the promise. Unsharded, the worker runs
+  /// the model's bound-aware AccumulateTopKRange over the whole table
+  /// inline; sharded, the coordinator scatters the same scan.
+  void FinishRanked(PendingRequest* request,
+                    const core::EmbeddingBatch& embedding,
+                    const std::vector<int64_t>& rows);
   [[nodiscard]] Status ValidateQuery(const query::QueryGraph& query, int64_t k) const;
   void Finish(PendingRequest* request, Result<TopKAnswer> result);
 
@@ -290,9 +286,8 @@ class QueryServer {
   std::unique_ptr<shard::ShardCoordinator> coordinator_;  // null = unsharded
   std::unique_ptr<obs::SlowQueryLog> slow_log_;           // null = disabled
 
-  // Planner path (null when use_planner is off or the model does not
-  // implement OperatorModel). The executor's OperatorModel pointer aliases
-  // model_; the subtree cache is internally synchronized.
+  // The executor's OperatorModel pointer aliases model_; the subtree cache
+  // (null when subtree_cache_bytes is 0) is internally synchronized.
   std::unique_ptr<plan::Planner> planner_;
   std::unique_ptr<plan::PlanExecutor> plan_executor_;
   std::unique_ptr<SubtreeCache> subtree_cache_;
@@ -310,10 +305,11 @@ class QueryServer {
   Histogram* batch_size_;
   Gauge* queue_depth_;  // requests admitted, not yet picked up
   Gauge* in_flight_;    // requests admitted, not yet finished
+  // Rank-scan kernel counters, shared with the shard workers' scans.
+  Counter* scan_entities_scanned_;
+  Counter* scan_entities_pruned_;
 
-  // Planner-path instruments (always registered; zero on the legacy path).
   Counter* plan_requests_;
-  Counter* plan_fallback_;
   Counter* plan_nodes_;
   Counter* plan_unique_nodes_;
   Counter* plan_node_evals_;

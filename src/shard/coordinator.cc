@@ -57,16 +57,20 @@ ShardCoordinator::ShardCoordinator(core::QueryModel* model,
     const EntityRange range{next, next + size};
     next += size;
     for (int r = 0; r < options_.replication; ++r) {
-      serving::Histogram* scan_us = nullptr;
-      serving::Gauge* health = nullptr;
+      ShardInstruments instruments;
       if (metrics_ != nullptr) {
         const serving::Labels replica_labels = {
             {"shard", std::to_string(s)}, {"replica", std::to_string(r)}};
-        scan_us = metrics_->GetHistogram(
+        instruments.scan_us = metrics_->GetHistogram(
             "shard.scan_us",
             serving::Histogram::ExponentialBounds(1.0, 2.0, 26),
             replica_labels);
-        health = metrics_->GetGauge("shard.replica_health", replica_labels);
+        instruments.health =
+            metrics_->GetGauge("shard.replica_health", replica_labels);
+        instruments.entities_scanned =
+            metrics_->GetCounter("scan.entities_scanned");
+        instruments.entities_pruned =
+            metrics_->GetCounter("scan.entities_pruned");
       }
       int pin_cpu = -1;
       if (options_.pin_threads) {
@@ -78,7 +82,7 @@ ShardCoordinator::ShardCoordinator(core::QueryModel* model,
       }
       workers_.push_back(std::make_unique<ShardWorker>(
           model, range, s, r, faults, options_.queue_capacity,
-          options_.down_after_failures, scan_us, health, pin_cpu));
+          options_.down_after_failures, instruments, pin_cpu));
     }
   }
   HALK_CHECK_EQ(next, num_entities_);

@@ -69,9 +69,11 @@ class ShardCoordinator {
   /// `shard.*` instruments: request/partial/deadline counters, gather
   /// latency, labeled per-shard `shard.tasks{shard=...}` /
   /// `shard.failovers{shard=...}` counters, per-replica
-  /// `shard.scan_us{shard=...,replica=...}` scan-latency histograms, and
+  /// `shard.scan_us{shard=...,replica=...}` scan-latency histograms,
   /// `shard.replica_health{shard=...,replica=...}` gauges mirroring each
-  /// replica's ReplicaHealth (0 healthy, 1 suspect, 2 down).
+  /// replica's ReplicaHealth (0 healthy, 1 suspect, 2 down), and the
+  /// registry-wide `scan.entities_scanned` / `scan.entities_pruned` kernel
+  /// counters.
   ShardCoordinator(core::QueryModel* model, const ShardOptions& options,
                    ShardFaultInjector* faults = nullptr,
                    serving::MetricsRegistry* metrics = nullptr);

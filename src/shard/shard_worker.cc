@@ -23,20 +23,37 @@ const char* ReplicaHealthName(ReplicaHealth health) {
   return "unknown";
 }
 
+void AnnotateScan(obs::SpanGuard* span, const core::ScanStats& stats) {
+  if (!span->active()) return;
+  span->Annotate("entities_scanned",
+                 static_cast<double>(stats.entities_scanned));
+  span->Annotate("entities_pruned", static_cast<double>(stats.entities_pruned));
+  span->Annotate("early_exit_rate",
+                 stats.entities_scanned == 0
+                     ? 0.0
+                     : static_cast<double>(stats.entities_pruned) /
+                           static_cast<double>(stats.entities_scanned));
+  if (stats.column_blocks_scanned + stats.column_blocks_skipped > 0) {
+    // Store-backed scans only: pages read vs never faulted in.
+    span->Annotate("column_blocks_scanned",
+                   static_cast<double>(stats.column_blocks_scanned));
+    span->Annotate("column_blocks_skipped",
+                   static_cast<double>(stats.column_blocks_skipped));
+  }
+}
+
 ShardWorker::ShardWorker(const core::QueryModel* model, EntityRange range,
                          int shard_index, int replica_index,
                          ShardFaultInjector* faults, size_t queue_capacity,
                          int down_after_failures,
-                         serving::Histogram* scan_us,
-                         serving::Gauge* health_gauge, int pin_cpu)
+                         const ShardInstruments& instruments, int pin_cpu)
     : model_(model),
       range_(range),
       shard_index_(shard_index),
       replica_index_(replica_index),
       down_after_failures_(down_after_failures),
       faults_(faults),
-      scan_us_(scan_us),
-      health_gauge_(health_gauge),
+      instruments_(instruments),
       pin_cpu_(pin_cpu),
       queue_(queue_capacity) {
   HALK_CHECK(model != nullptr);
@@ -66,7 +83,7 @@ void ShardWorker::MarkFailure() {
                                          ? ReplicaHealth::kDown
                                          : ReplicaHealth::kSuspect);
   health_.store(state, std::memory_order_release);
-  if (health_gauge_ != nullptr) health_gauge_->Set(state);
+  if (instruments_.health != nullptr) instruments_.health->Set(state);
 }
 
 void ShardWorker::MarkSuccess() {
@@ -75,8 +92,8 @@ void ShardWorker::MarkSuccess() {
   failure_streak_.store(0, std::memory_order_release);
   health_.store(static_cast<int>(ReplicaHealth::kHealthy),
                 std::memory_order_release);
-  if (health_gauge_ != nullptr) {
-    health_gauge_->Set(static_cast<int>(ReplicaHealth::kHealthy));
+  if (instruments_.health != nullptr) {
+    instruments_.health->Set(static_cast<int>(ReplicaHealth::kHealthy));
   }
 }
 
@@ -130,34 +147,26 @@ void ShardWorker::Serve(ShardTask* task) {
   obs::SpanGuard scan(task->trace, "replica_scan");
   core::TopKAccumulator acc(task->k);
   core::ScanStats stats;
-  const int64_t scan_start = scan_us_ != nullptr ? obs::NowNs() : 0;
+  serving::Histogram* scan_us = instruments_.scan_us;
+  const int64_t scan_start = scan_us != nullptr ? obs::NowNs() : 0;
   model_->AccumulateTopKRange(refs, range_.begin, range_.end, &acc, &stats);
-  if (scan_us_ != nullptr) {
+  if (scan_us != nullptr) {
     // The request's trace id rides along as the bucket exemplar so a slow
     // scraped scan bucket names a concrete trace.
-    scan_us_->Observe(static_cast<double>(obs::NowNs() - scan_start) / 1e3,
-                      task->trace.trace_id);
+    scan_us->Observe(static_cast<double>(obs::NowNs() - scan_start) / 1e3,
+                     task->trace.trace_id);
+  }
+  if (instruments_.entities_scanned != nullptr) {
+    instruments_.entities_scanned->Increment(stats.entities_scanned);
+  }
+  if (instruments_.entities_pruned != nullptr) {
+    instruments_.entities_pruned->Increment(stats.entities_pruned);
   }
   if (scan.active()) {
     scan.Annotate("shard", shard_index_);
     scan.Annotate("replica", replica_index_);
-    scan.Annotate("entities_scanned",
-                  static_cast<double>(stats.entities_scanned));
-    scan.Annotate("entities_pruned",
-                  static_cast<double>(stats.entities_pruned));
-    scan.Annotate("early_exit_rate",
-                  stats.entities_scanned == 0
-                      ? 0.0
-                      : static_cast<double>(stats.entities_pruned) /
-                            static_cast<double>(stats.entities_scanned));
-    if (stats.column_blocks_scanned + stats.column_blocks_skipped > 0) {
-      // Store-backed scans only: pages read vs never faulted in.
-      scan.Annotate("column_blocks_scanned",
-                    static_cast<double>(stats.column_blocks_scanned));
-      scan.Annotate("column_blocks_skipped",
-                    static_cast<double>(stats.column_blocks_skipped));
-    }
   }
+  AnnotateScan(&scan, stats);
   scan.End();
   task->result.set_value(acc.Take());
 }

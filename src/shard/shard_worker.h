@@ -59,22 +59,37 @@ enum class ReplicaHealth { kHealthy = 0, kSuspect = 1, kDown = 2 };
 
 const char* ReplicaHealthName(ReplicaHealth health);
 
+/// Metrics a replica feeds; each may be null. `scan_us` receives per-task
+/// scan latency; `health` mirrors the replica's ReplicaHealth as its
+/// numeric value (0 healthy, 1 suspect, 2 down); `entities_scanned` /
+/// `entities_pruned` accumulate the scan kernel's ScanStats (the
+/// registry-wide `scan.*` counters the unsharded server path feeds too).
+struct ShardInstruments {
+  serving::Histogram* scan_us = nullptr;
+  serving::Gauge* health = nullptr;
+  serving::Counter* entities_scanned = nullptr;
+  serving::Counter* entities_pruned = nullptr;
+};
+
+/// Annotates an active rank-scan span (the sharded `replica_scan`, the
+/// unsharded `rank`) with the kernel's counters: entities scanned and
+/// pruned, the early-exit rate, and — store-backed scans only — column
+/// blocks read vs. skipped. No-op on an inactive span.
+void AnnotateScan(obs::SpanGuard* span, const core::ScanStats& stats);
+
 /// One replica of one shard: a dedicated thread draining its own bounded
 /// task queue and computing partial distances over a contiguous read-only
 /// view of the model's entity table (trained parameters are never copied).
 class ShardWorker {
  public:
   /// `model`, `faults` (optional), and the instruments (optional) must
-  /// outlive the worker. `scan_us` receives per-task scan latency;
-  /// `health_gauge` mirrors the replica's ReplicaHealth as its numeric
-  /// value (0 healthy, 1 suspect, 2 down). `pin_cpu` >= 0 pins the worker
-  /// thread to that CPU (best effort, Linux only) so scans keep their cache
-  /// and NUMA locality instead of migrating between cores.
+  /// outlive the worker. `pin_cpu` >= 0 pins the worker thread to that CPU
+  /// (best effort, Linux only) so scans keep their cache and NUMA locality
+  /// instead of migrating between cores.
   ShardWorker(const core::QueryModel* model, EntityRange range,
               int shard_index, int replica_index, ShardFaultInjector* faults,
               size_t queue_capacity, int down_after_failures,
-              serving::Histogram* scan_us = nullptr,
-              serving::Gauge* health_gauge = nullptr, int pin_cpu = -1);
+              const ShardInstruments& instruments = {}, int pin_cpu = -1);
   ~ShardWorker();
 
   ShardWorker(const ShardWorker&) = delete;
@@ -117,8 +132,7 @@ class ShardWorker {
   const int replica_index_;
   const int down_after_failures_;
   ShardFaultInjector* faults_;            // may be null
-  serving::Histogram* scan_us_;           // may be null
-  serving::Gauge* health_gauge_;          // may be null
+  const ShardInstruments instruments_;
   const int pin_cpu_;                     // -1 = unpinned
 
   serving::BoundedQueue<std::unique_ptr<ShardTask>> queue_;

@@ -22,7 +22,7 @@ Status ReadLegacyCheckpoint(const std::string& path, LegacyCheckpoint* out) {
   if (!in.is_open()) {
     return Status::IOError("cannot open " + path);
   }
-  uint64_t hash = kFnvSeed;
+  uint64_t hash = kFnv1a64Seed;
   auto raw = [&](void* data, size_t n) -> bool {
     in.read(static_cast<char*>(data), static_cast<std::streamsize>(n));
     if (!in.good()) return false;
@@ -90,7 +90,7 @@ Status WriteLegacyCheckpoint(const std::string& path,
   if (!out.is_open()) {
     return Status::IOError("cannot open " + path + " for writing");
   }
-  uint64_t hash = kFnvSeed;
+  uint64_t hash = kFnv1a64Seed;
   auto raw = [&](const void* data, size_t n) {
     out.write(static_cast<const char*>(data),
               static_cast<std::streamsize>(n));

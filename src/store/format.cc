@@ -8,16 +8,6 @@
 
 namespace halk::store {
 
-uint64_t Fnv1a64(const void* data, size_t n, uint64_t seed) {
-  const uint8_t* bytes = static_cast<const uint8_t*>(data);
-  uint64_t h = seed;
-  for (size_t i = 0; i < n; ++i) {
-    h ^= bytes[i];
-    h *= 0x100000001b3ULL;
-  }
-  return h;
-}
-
 namespace {
 
 // Field offsets inside the serialized header. Kept in one place so the

@@ -4,6 +4,7 @@
 #include <cstddef>
 #include <cstdint>
 
+#include "common/hash.h"  // Fnv1a64: every checksum in the format
 #include "common/status.h"
 
 namespace halk::store {
@@ -36,11 +37,6 @@ inline constexpr uint32_t kShardFormatVersion = 1;
 inline constexpr uint32_t kDtypeF32 = 1;
 inline constexpr uint32_t kDefaultRowsPerGroup = 4096;
 inline constexpr uint64_t kPageBytes = 4096;
-inline constexpr uint64_t kFnvSeed = 0xcbf29ce484222325ULL;
-
-/// Rolling FNV-1a-64 — the same hash (seed and multiplier) as the legacy
-/// checkpoint format, so tooling needs one checksum implementation.
-uint64_t Fnv1a64(const void* data, size_t n, uint64_t seed = kFnvSeed);
 
 /// Parsed shard-file header. Field order matches the serialized layout.
 struct ShardFileHeader {

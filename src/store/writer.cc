@@ -39,7 +39,7 @@ class BlobWriter {
 
  private:
   std::ofstream* out_;
-  uint64_t hash_ = kFnvSeed;
+  uint64_t hash_ = kFnv1a64Seed;
 };
 
 class BlobReader {
@@ -60,7 +60,7 @@ class BlobReader {
 
  private:
   std::ifstream* in_;
-  uint64_t hash_ = kFnvSeed;
+  uint64_t hash_ = kFnv1a64Seed;
 };
 
 void PutConfig(BlobWriter* w, const core::ModelConfig& c) {

@@ -4,6 +4,7 @@
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
 #include <cstdlib>
@@ -19,11 +20,18 @@ struct TestHttpResponse {
   std::string body;
 };
 
-/// Sends `raw` bytes to 127.0.0.1:`port` and returns everything the
-/// server writes back until it closes the connection.
-inline std::string RawHttpExchange(int port, const std::string& raw) {
+/// Opens a TCP connection to 127.0.0.1:`port`; -1 on failure. A positive
+/// `recv_timeout_ms` bounds every later recv on the socket, so a test
+/// against a wedged server fails instead of hanging.
+inline int ConnectLoopback(int port, int recv_timeout_ms = 0) {
   const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) return "";
+  if (fd < 0) return -1;
+  if (recv_timeout_ms > 0) {
+    timeval tv;
+    tv.tv_sec = recv_timeout_ms / 1000;
+    tv.tv_usec = (recv_timeout_ms % 1000) * 1000;
+    ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
+  }
   sockaddr_in addr = {};
   addr.sin_family = AF_INET;
   addr.sin_port = htons(static_cast<uint16_t>(port));
@@ -31,8 +39,18 @@ inline std::string RawHttpExchange(int port, const std::string& raw) {
   if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) !=
       0) {
     ::close(fd);
-    return "";
+    return -1;
   }
+  return fd;
+}
+
+/// Sends `raw` bytes to 127.0.0.1:`port` and returns everything the
+/// server writes back until it closes the connection (or, with a positive
+/// `recv_timeout_ms`, until a recv waits that long).
+inline std::string RawHttpExchange(int port, const std::string& raw,
+                                   int recv_timeout_ms = 0) {
+  const int fd = ConnectLoopback(port, recv_timeout_ms);
+  if (fd < 0) return "";
   size_t sent = 0;
   while (sent < raw.size()) {
     const ssize_t n = ::send(fd, raw.data() + sent, raw.size() - sent, 0);
@@ -54,11 +72,14 @@ inline std::string RawHttpExchange(int port, const std::string& raw) {
 
 /// Minimal blocking GET against the embedded server, parsing the status
 /// line, Content-Type header, and body out of the raw response.
-inline TestHttpResponse HttpGet(int port, const std::string& path) {
+inline TestHttpResponse HttpGet(int port, const std::string& path,
+                                int recv_timeout_ms = 0) {
   TestHttpResponse out;
   const std::string raw = RawHttpExchange(
-      port, "GET " + path +
-                " HTTP/1.1\r\nHost: localhost\r\nConnection: close\r\n\r\n");
+      port,
+      "GET " + path +
+          " HTTP/1.1\r\nHost: localhost\r\nConnection: close\r\n\r\n",
+      recv_timeout_ms);
   if (raw.empty()) return out;
   const size_t line_end = raw.find("\r\n");
   if (line_end == std::string::npos) return out;

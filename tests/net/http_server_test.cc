@@ -1,6 +1,10 @@
 #include "net/http_server.h"
 
+#include <sys/socket.h>
+#include <unistd.h>
+
 #include <atomic>
+#include <chrono>
 #include <string>
 #include <thread>
 #include <vector>
@@ -117,6 +121,46 @@ TEST(HttpServerTest, PortAlreadyBoundFailsCleanly) {
   ASSERT_TRUE(second.Start().ok());
   EXPECT_GT(second.port(), 0);
   second.Stop();
+}
+
+// Regression: every accept thread used to block in recv with no timeout,
+// so num_threads idle TCP connections made /healthz unreachable and an
+// orchestrator would restart a healthy process. The per-connection I/O
+// deadline drops the idle peers and the probe gets through.
+TEST(HttpServerTest, IdleConnectionsCannotWedgeHealthz) {
+  HttpServer::Options options;
+  options.num_threads = 2;
+  HttpServer server(options);
+  server.Handle("/healthz", [](const HttpRequest&) -> HttpResponse {
+    return {200, "application/json", "{\"status\":\"ok\"}\n"};
+  });
+  ASSERT_TRUE(server.Start().ok());
+  // Client-side bound: a wedged server fails the test instead of hanging.
+  constexpr int kClientTimeoutMs = 20000;
+  std::vector<int> idle;
+  for (int i = 0; i < options.num_threads + 1; ++i) {
+    const int fd = ConnectLoopback(server.port(), kClientTimeoutMs);
+    ASSERT_GE(fd, 0);
+    idle.push_back(fd);  // connected, never sends a byte
+  }
+
+  const auto start = std::chrono::steady_clock::now();
+  const TestHttpResponse health =
+      HttpGet(server.port(), "/healthz", kClientTimeoutMs);
+  const auto waited = std::chrono::steady_clock::now() - start;
+  EXPECT_EQ(health.status, 200);
+  EXPECT_EQ(health.body, "{\"status\":\"ok\"}\n");
+  // The probe queues behind at most one round of idle connections, so it
+  // is answered within about one deadline; allow slack for slow runners.
+  EXPECT_LT(waited, 3 * HttpServer::kIoDeadline);
+
+  // Every idle peer was hung up on: recv sees EOF, not its own timeout.
+  for (const int fd : idle) {
+    char byte = 0;
+    EXPECT_EQ(::recv(fd, &byte, 1, 0), 0);
+    ::close(fd);
+  }
+  server.Stop();
 }
 
 // TSan-targeted: concurrent clients against one server, handlers touching

@@ -98,30 +98,31 @@ TEST_F(PlannerEquivalenceTest, BitIdenticalToEvaluatorAcrossAllStructures) {
     }
   }
   EXPECT_GT(server.metrics()->CounterValue("plan.requests"), 0);
-  EXPECT_EQ(server.metrics()->CounterValue("plan.fallback"), 0);
 }
 
-TEST_F(PlannerEquivalenceTest, PlannerAndLegacyPathsAgreeBitExactly) {
-  ServerOptions planned;
-  planned.num_workers = 2;
-  planned.enable_cache = false;
-  ServerOptions legacy = planned;
-  legacy.use_planner = false;
-  QueryServer with_planner(model_, &dataset_->train, planned);
-  QueryServer without_planner(model_, &dataset_->train, legacy);
+TEST_F(PlannerEquivalenceTest, ServedPathAgreesWithEvaluatorBitExactly) {
+  // A second sample at a k that is not the suite's default, checked
+  // against the oracle directly: Evaluator::TopK for the entities and the
+  // evaluator's exhaustive scores for the exact float distances.
+  ServerOptions options;
+  options.num_workers = 2;
+  options.enable_cache = false;
+  QueryServer server(model_, &dataset_->train, options);
+  core::Evaluator evaluator(model_);
   query::QuerySampler sampler(&dataset_->train, 67);
   for (StructureId s : query::AllStructures()) {
     auto q = sampler.Sample(s);
     ASSERT_TRUE(q.ok()) << query::StructureName(s);
-    Result<TopKAnswer> a = with_planner.Answer(q->graph, 12);
-    Result<TopKAnswer> b = without_planner.Answer(q->graph, 12);
-    ASSERT_TRUE(a.ok());
-    ASSERT_TRUE(b.ok());
-    EXPECT_EQ(a->entities, b->entities) << query::StructureName(s);
-    EXPECT_EQ(a->distances, b->distances) << query::StructureName(s);
+    Result<TopKAnswer> served = server.Answer(q->graph, 12);
+    ASSERT_TRUE(served.ok()) << served.status().ToString();
+    EXPECT_EQ(served->entities, evaluator.TopK(q->graph, 12))
+        << query::StructureName(s);
+    ExpectBitIdentical(*served, q->graph, 12);
   }
-  EXPECT_EQ(with_planner.metrics()->CounterValue("plan.fallback"), 0);
-  EXPECT_EQ(without_planner.metrics()->CounterValue("plan.requests"), 0);
+  // Every unsharded answer came out of the bound-aware scan.
+  EXPECT_EQ(server.metrics()->CounterValue("scan.entities_scanned"),
+            static_cast<int64_t>(query::AllStructures().size()) *
+                dataset_->train.num_entities());
 }
 
 TEST_F(PlannerEquivalenceTest, DuplicateSubtreeBatchesStayBitIdentical) {
@@ -266,7 +267,6 @@ TEST_F(PlannerEquivalenceTest, FeedbackKeepsAnswersBitIdentical) {
   // The second pass actually consulted feedback: the store accumulated
   // per-subtree cardinalities on the first.
   EXPECT_GT(server.query_stats()->feedback_size(), 0u);
-  EXPECT_EQ(server.metrics()->CounterValue("plan.fallback"), 0);
 }
 
 TEST_F(PlannerEquivalenceTest, ExplainDescribesTheServedPlan) {
@@ -288,10 +288,11 @@ TEST_F(PlannerEquivalenceTest, ExplainDescribesTheServedPlan) {
   ASSERT_TRUE(warm.ok());
   EXPECT_NE(warm->find(" cached"), std::string::npos);
 
-  ServerOptions off = options;
-  off.use_planner = false;
-  QueryServer legacy(model_, &dataset_->train, off);
-  EXPECT_FALSE(legacy.Explain(q->graph).ok());
+  // Malformed queries are rejected, not explained.
+  Result<std::string> bad =
+      server.Explain(query::MakeStructure(StructureId::k2i));
+  ASSERT_FALSE(bad.ok());
+  EXPECT_EQ(bad.status().code(), StatusCode::kInvalidArgument);
 }
 
 }  // namespace

@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include "baselines/cone.h"
 #include "core/evaluator.h"
 #include "core/halk_model.h"
 #include "kg/synthetic.h"
@@ -78,6 +79,21 @@ TEST_F(QueryServerTest, AgreesWithUncachedEvaluatorAcrossStructures) {
           << "structure " << query::StructureName(s);
     }
   }
+}
+
+TEST_F(QueryServerTest, ModelWithoutOperatorModelIsFatalAtConstruction) {
+  // Serving plans every chunk through core::OperatorModel; a baseline that
+  // lacks it must be refused up front, not served down some other path.
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  baselines::ConeModel cone(model_->config(), nullptr);
+  ASSERT_EQ(cone.AsOperatorModel(), nullptr);
+  EXPECT_DEATH(
+      {
+        ServerOptions options;
+        options.num_workers = 1;
+        QueryServer server(&cone, &dataset_->train, options);
+      },
+      "OperatorModel");
 }
 
 TEST_F(QueryServerTest, CacheHitMatchesUncachedAnswer) {
@@ -425,6 +441,83 @@ TEST_F(QueryServerTest, TracedShardedRequestPhaseSpansTileTheLatency) {
     EXPECT_TRUE(scan->has_annotation("entities_scanned"));
     EXPECT_GT(scan->annotation("entities_scanned"), 0.0);
   }
+}
+
+TEST_F(QueryServerTest, TracedUnshardedRequestPhaseSpansTileTheLatency) {
+  obs::Tracer tracer;
+  tracer.set_enabled(true);
+  ServerOptions options;
+  options.num_workers = 2;
+  options.max_batch_size = 4;
+  options.enable_cache = false;
+  options.tracer = &tracer;
+  QueryServer server(model_, &dataset_->train, options);
+  ASSERT_EQ(server.coordinator(), nullptr);
+
+  query::GroundedQuery q = SampleQueries(StructureId::k2u, 1, 303)[0];
+  Result<TopKAnswer> r = server.Answer(q.graph, 10);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  ASSERT_NE(r->trace_id, 0u);
+
+  const obs::Trace trace = tracer.Collect(r->trace_id);
+  const obs::SpanRecord* root = trace.Find("request");
+  ASSERT_NE(root, nullptr);
+  EXPECT_EQ(root->parent, 0u);
+  EXPECT_EQ(root->annotation("ok"), 1.0);
+
+  // Unsharded, ranking is one inline `rank` phase in place of the sharded
+  // scatter / merge pair.
+  for (const char* phase : {"queue_wait", "dnf_expand", "batch_assembly",
+                            "embed", "rank"}) {
+    const obs::SpanRecord* span = trace.Find(phase);
+    ASSERT_NE(span, nullptr) << "missing span " << phase;
+    EXPECT_EQ(span->parent, root->id) << phase;
+    EXPECT_GE(span->start_ns, root->start_ns) << phase;
+    EXPECT_LE(span->end_ns(), root->end_ns()) << phase;
+  }
+  EXPECT_EQ(trace.Find("scatter"), nullptr);
+  EXPECT_EQ(trace.Find("score"), nullptr);
+  int64_t phase_sum_ns = 0;
+  for (const obs::SpanRecord& span : trace.spans()) {
+    if (span.parent == root->id) phase_sum_ns += span.duration_ns;
+  }
+  EXPECT_GT(phase_sum_ns, 0);
+  EXPECT_LE(phase_sum_ns, root->duration_ns);
+
+  // The union query's two branches share one scan of the whole table; the
+  // span carries the kernel counters the scan.* metrics aggregate.
+  const std::vector<const obs::SpanRecord*> ranks = trace.FindAll("rank");
+  ASSERT_EQ(ranks.size(), 1u);
+  const double entities =
+      static_cast<double>(dataset_->train.num_entities());
+  EXPECT_EQ(ranks[0]->annotation("entities_scanned"), entities);
+  EXPECT_TRUE(ranks[0]->has_annotation("entities_pruned"));
+  EXPECT_EQ(server.metrics()->CounterValue("scan.entities_scanned"),
+            dataset_->train.num_entities());
+  EXPECT_EQ(server.metrics()->CounterValue("scan.entities_pruned"),
+            static_cast<int64_t>(ranks[0]->annotation("entities_pruned")));
+}
+
+TEST_F(QueryServerTest, ShardedScanCountersCoverTheTable) {
+  ServerOptions options;
+  options.num_workers = 1;
+  options.num_shards = 3;
+  options.enable_cache = false;
+  QueryServer server(model_, &dataset_->train, options);
+  const std::vector<query::GroundedQuery> queries =
+      SampleQueries(StructureId::k2p, 4, 307);
+  for (const query::GroundedQuery& q : queries) {
+    ASSERT_TRUE(server.Answer(q.graph, 5).ok());
+  }
+  // Each request scans every shard's range exactly once; with k = 5 of 150
+  // entities the bound trips, so some entities are pruned.
+  const int64_t scanned =
+      server.metrics()->CounterValue("scan.entities_scanned");
+  EXPECT_EQ(scanned, static_cast<int64_t>(queries.size()) *
+                         dataset_->train.num_entities());
+  const int64_t pruned = server.metrics()->CounterValue("scan.entities_pruned");
+  EXPECT_GT(pruned, 0);
+  EXPECT_LE(pruned, scanned);
 }
 
 TEST_F(QueryServerTest, SlowQueryLogKeysRepeatedSlowRequestsByFingerprint) {

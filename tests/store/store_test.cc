@@ -6,6 +6,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -18,7 +19,9 @@
 #include "kg/synthetic.h"
 #include "query/sampler.h"
 #include "query/structures.h"
+#include "obs/trace.h"
 #include "serving/metrics.h"
+#include "serving/server.h"
 #include "shard/coordinator.h"
 #include "store/convert.h"
 #include "store/format.h"
@@ -503,6 +506,76 @@ TEST_F(StoreServingTest, StoreBackedTopKIsBitIdenticalToInRam) {
           << shards << " shards";
     }
   }
+}
+
+// Unsharded serving (num_shards = 0) over a store-backed model ranks with
+// the store's columnar, block-skipping scan — never a per-row gather — and
+// stays bit-identical to the evaluator oracle.
+TEST_F(StoreServingTest, UnshardedServerOverStoreIsBitIdenticalAndSkipsBlocks) {
+  // WriteModelSnapshot with small row groups, so a tightened admission
+  // bound can retire whole groups early and skip their remaining column
+  // blocks.
+  const std::string dir = TempPath("snap_unsharded");
+  SnapshotWriterOptions snapshot;
+  snapshot.dir = dir;
+  snapshot.config = model_->config();
+  snapshot.num_shards = 2;
+  snapshot.rows_per_group = 8;
+  auto writer = SnapshotWriter::Create(snapshot);
+  ASSERT_TRUE(writer.ok()) << writer.status().ToString();
+  ASSERT_TRUE((*writer)
+                  ->AppendEntityRows(model_->entity_angles().data(),
+                                     model_->config().num_entities)
+                  .ok());
+  const std::vector<tensor::Tensor> params = model_->Parameters();
+  std::vector<std::vector<float>> blob;
+  for (size_t i = 1; i < params.size(); ++i) {  // [0] is the entity table
+    blob.emplace_back(params[i].data(), params[i].data() + params[i].numel());
+  }
+  ASSERT_TRUE((*writer)->SetParams(std::move(blob)).ok());
+  ASSERT_TRUE((*writer)->Finish().ok());
+  auto store = EmbeddingStore::Open(dir, {});
+  ASSERT_TRUE(store.ok()) << store.status().ToString();
+  auto served = OpenServingModel(**store, nullptr);
+  ASSERT_TRUE(served.ok()) << served.status().ToString();
+
+  obs::Tracer tracer;
+  tracer.set_enabled(true);
+  serving::ServerOptions options;
+  options.num_workers = 2;
+  options.enable_cache = false;
+  options.tracer = &tracer;
+  serving::QueryServer server(served->get(), &dataset_->train, options);
+  ASSERT_EQ(server.coordinator(), nullptr);
+
+  core::Evaluator evaluator(model_);
+  query::QuerySampler sampler(&dataset_->train, 29);
+  double blocks_skipped = 0.0;
+  for (StructureId s : query::AllStructures()) {
+    auto queries = sampler.SampleMany(s, 2);
+    ASSERT_TRUE(queries.ok()) << query::StructureName(s);
+    for (const query::GroundedQuery& q : *queries) {
+      Result<serving::TopKAnswer> answer = server.Answer(q.graph, 3);
+      ASSERT_TRUE(answer.ok()) << answer.status().ToString();
+      EXPECT_EQ(answer->entities, evaluator.TopK(q.graph, 3))
+          << query::StructureName(s);
+      // Exact float distances, not just the ranking.
+      const std::vector<core::ScoredEntity> expected =
+          core::TopKFromDistances(evaluator.ScoreAllEntities(q.graph), 3);
+      ASSERT_EQ(answer->distances.size(), expected.size());
+      for (size_t i = 0; i < expected.size(); ++i) {
+        EXPECT_EQ(answer->distances[i], expected[i].distance)
+            << query::StructureName(s) << " rank " << i;
+      }
+      const obs::Trace trace = tracer.Collect(answer->trace_id);
+      const obs::SpanRecord* rank = trace.Find("rank");
+      ASSERT_NE(rank, nullptr);
+      EXPECT_GT(rank->annotation("column_blocks_scanned"), 0.0);
+      blocks_skipped += rank->annotation("column_blocks_skipped");
+    }
+  }
+  EXPECT_GT(blocks_skipped, 0.0);
+  EXPECT_GT(server.metrics()->CounterValue("scan.entities_pruned"), 0);
 }
 
 TEST_F(StoreServingTest, BlobToSnapshotToBlobIsByteIdentical) {

@@ -23,98 +23,69 @@ static_assert(static_cast<size_t>(query::OpType::kNegation) + 1 ==
 
 QueryStatsStore::QueryStatsStore(size_t capacity, size_t feedback_capacity,
                                  int64_t feedback_min_samples)
-    : capacity_(std::max<size_t>(capacity, 1)),
-      feedback_capacity_(std::max<size_t>(feedback_capacity, 1)),
-      feedback_min_samples_(std::max<int64_t>(feedback_min_samples, 1)) {}
+    : feedback_min_samples_(std::max<int64_t>(feedback_min_samples, 1)),
+      stats_(std::max<size_t>(capacity, 1)),
+      feedback_(std::max<size_t>(feedback_capacity, 1)) {}
 
 void QueryStatsStore::Record(const std::string& fingerprint,
                              const QueryObservation& observation) {
-  MutexLock lock(mu_);
-  auto it = index_.find(fingerprint);
-  if (it == index_.end()) {
-    entries_.push_front(Stats{});
-    entries_.front().fingerprint = fingerprint;
-    index_[fingerprint] = entries_.begin();
-    it = index_.find(fingerprint);
-  } else {
-    // LRU refresh: splice the entry to the front in place.
-    entries_.splice(entries_.begin(), entries_, it->second);
-    it->second = entries_.begin();
-  }
-  Stats& s = *it->second;
-  s.hits += 1;
-  if (observation.cache_hit) s.cache_hits += 1;
-  s.latency_us.Add(observation.latency_us);
-  if (!observation.structure.empty()) s.structure = observation.structure;
-  if (observation.plan_nodes > 0) {
-    s.plan_nodes = observation.plan_nodes;
-    s.dedup_ratio = observation.dedup_ratio;
-  }
-  if (observation.worst_qerror > 0.0) {
-    s.qerror.Add(observation.worst_qerror);
-    s.worst_qerror = std::max(s.worst_qerror, observation.worst_qerror);
-  }
-  for (size_t op = 0; op < kNumOpKinds; ++op) {
-    s.op_ns[op] += observation.op_ns[op];
-  }
-  while (entries_.size() > capacity_) {
-    index_.erase(entries_.back().fingerprint);
-    entries_.pop_back();
-  }
+  stats_.Update(fingerprint, [&observation](Stats& s) {
+    s.hits += 1;
+    if (observation.cache_hit) s.cache_hits += 1;
+    s.latency_us.Add(observation.latency_us);
+    if (!observation.structure.empty()) s.structure = observation.structure;
+    if (observation.plan_nodes > 0) {
+      s.plan_nodes = observation.plan_nodes;
+      s.dedup_ratio = observation.dedup_ratio;
+    }
+    if (observation.worst_qerror > 0.0) {
+      s.qerror.Add(observation.worst_qerror);
+      s.worst_qerror = std::max(s.worst_qerror, observation.worst_qerror);
+    }
+    for (size_t op = 0; op < kNumOpKinds; ++op) {
+      s.op_ns[op] += observation.op_ns[op];
+    }
+  });
 }
 
 void QueryStatsStore::RecordSubtreeRows(const query::Fingerprint& key,
                                         double actual_rows) {
   if (actual_rows < 0.0 || !std::isfinite(actual_rows)) return;
-  MutexLock lock(feedback_mu_);
-  auto it = feedback_.find(key);
-  if (it == feedback_.end()) {
-    feedback_lru_.push_front(key);
-    FeedbackEntry entry;
-    entry.rows = actual_rows;
-    entry.samples = 1;
-    entry.lru = feedback_lru_.begin();
-    feedback_.emplace(key, entry);
-  } else {
-    FeedbackEntry& entry = it->second;
-    entry.rows = (1.0 - kFeedbackAlpha) * entry.rows +
-                 kFeedbackAlpha * actual_rows;
+  feedback_.Update(key, [actual_rows](Feedback& entry) {
+    entry.rows = entry.samples == 0
+                     ? actual_rows
+                     : (1.0 - kFeedbackAlpha) * entry.rows +
+                           kFeedbackAlpha * actual_rows;
     entry.samples += 1;
-    feedback_lru_.splice(feedback_lru_.begin(), feedback_lru_, entry.lru);
-    entry.lru = feedback_lru_.begin();
-  }
-  while (feedback_.size() > feedback_capacity_) {
-    feedback_.erase(feedback_lru_.back());
-    feedback_lru_.pop_back();
-  }
+  });
 }
 
 bool QueryStatsStore::ObservedRows(const query::Fingerprint& key,
                                    double* rows) const {
-  MutexLock lock(feedback_mu_);
-  const auto it = feedback_.find(key);
-  if (it == feedback_.end() || it->second.samples < feedback_min_samples_) {
+  Feedback entry;
+  if (!feedback_.Peek(key, &entry) ||
+      entry.samples < feedback_min_samples_) {
     return false;
   }
-  *rows = it->second.rows;
+  *rows = entry.rows;
   return true;
 }
 
 bool QueryStatsStore::Lookup(const std::string& fingerprint,
                              Stats* out) const {
-  MutexLock lock(mu_);
-  const auto it = index_.find(fingerprint);
-  if (it == index_.end()) return false;
-  *out = *it->second;
+  if (!stats_.Peek(fingerprint, out)) return false;
+  out->fingerprint = fingerprint;
   return true;
 }
 
 std::vector<QueryStatsStore::Stats> QueryStatsStore::TopByTime(
     size_t n) const {
+  std::vector<std::pair<std::string, Stats>> snapshot = stats_.Snapshot();
   std::vector<Stats> all;
-  {
-    MutexLock lock(mu_);
-    all.assign(entries_.begin(), entries_.end());
+  all.reserve(snapshot.size());
+  for (auto& [fingerprint, stats] : snapshot) {
+    stats.fingerprint = std::move(fingerprint);
+    all.push_back(std::move(stats));
   }
   std::sort(all.begin(), all.end(), [](const Stats& a, const Stats& b) {
     const int64_t ta = a.total_op_ns();
@@ -160,25 +131,9 @@ std::string QueryStatsStore::ToJson(size_t top_n) const {
   return out;
 }
 
-size_t QueryStatsStore::size() const {
-  MutexLock lock(mu_);
-  return entries_.size();
-}
-
-size_t QueryStatsStore::feedback_size() const {
-  MutexLock lock(feedback_mu_);
-  return feedback_.size();
-}
-
 void QueryStatsStore::Clear() {
-  {
-    MutexLock lock(mu_);
-    entries_.clear();
-    index_.clear();
-  }
-  MutexLock lock(feedback_mu_);
-  feedback_.clear();
-  feedback_lru_.clear();
+  stats_.Clear();
+  feedback_.Clear();
 }
 
 }  // namespace halk::obs

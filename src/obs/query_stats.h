@@ -4,13 +4,10 @@
 #include <array>
 #include <cstddef>
 #include <cstdint>
-#include <list>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
-#include "common/mutex.h"
-#include "common/thread_annotations.h"
+#include "common/lru_cache.h"
 #include "query/fingerprint.h"
 #include "query/ops.h"
 
@@ -64,7 +61,7 @@ struct QueryObservation {
 /// SlowQueryLog. A second, independently bounded map keyed by *subtree*
 /// fingerprints holds EWMA observed cardinalities for feedback
 /// (plan/planner.h consults ObservedRows for schedule ordering only).
-/// Thread-safe.
+/// Both maps are the common LRU map (common/lru_cache.h). Thread-safe.
 class QueryStatsStore {
  public:
   /// Per-fingerprint aggregate (a snapshot copy; safe to hold).
@@ -95,57 +92,45 @@ class QueryStatsStore {
   /// Folds one finished request into its fingerprint's aggregate (created
   /// or LRU-refreshed).
   void Record(const std::string& fingerprint,
-              const QueryObservation& observation) HALK_EXCLUDES(mu_);
+              const QueryObservation& observation);
 
   /// Folds one sampled subtree cardinality into the feedback EWMA for
   /// `key` (a plan node's evaluation-order-preserving fingerprint).
-  void RecordSubtreeRows(const query::Fingerprint& key, double actual_rows)
-      HALK_EXCLUDES(feedback_mu_);
+  void RecordSubtreeRows(const query::Fingerprint& key, double actual_rows);
 
   /// True (and `*rows` set to the EWMA) when the subtree has at least
   /// feedback_min_samples observations. Read-only: never reorders the LRU.
-  bool ObservedRows(const query::Fingerprint& key, double* rows) const
-      HALK_EXCLUDES(feedback_mu_);
+  bool ObservedRows(const query::Fingerprint& key, double* rows) const;
 
   /// Aggregate for one fingerprint, if retained.
-  bool Lookup(const std::string& fingerprint, Stats* out) const
-      HALK_EXCLUDES(mu_);
+  bool Lookup(const std::string& fingerprint, Stats* out) const;
 
   /// Top aggregates by total attributed operator time (ties: hits, then
   /// mean latency, then fingerprint for determinism).
-  std::vector<Stats> TopByTime(size_t n) const HALK_EXCLUDES(mu_);
+  std::vector<Stats> TopByTime(size_t n) const;
 
   /// The `/queryz` payload: `{"queries":[{...}, ...]}` with one flat
   /// object per retained fingerprint, TopByTime order, at most `top_n`.
   /// Per-operator times render as `us_<op>` keys (us_projection, ...).
-  std::string ToJson(size_t top_n) const HALK_EXCLUDES(mu_);
+  std::string ToJson(size_t top_n) const;
 
-  size_t size() const HALK_EXCLUDES(mu_);
-  size_t feedback_size() const HALK_EXCLUDES(feedback_mu_);
+  size_t size() const { return stats_.size(); }
+  size_t feedback_size() const { return feedback_.size(); }
   int64_t feedback_min_samples() const { return feedback_min_samples_; }
-  void Clear() HALK_EXCLUDES(mu_) HALK_EXCLUDES(feedback_mu_);
+  void Clear();
 
  private:
-  struct FeedbackEntry {
+  struct Feedback {
     double rows = 0.0;  // EWMA of sampled actual rows
     int64_t samples = 0;
-    std::list<query::Fingerprint>::iterator lru;
   };
 
-  const size_t capacity_;
-  const size_t feedback_capacity_;
   const int64_t feedback_min_samples_;
-
-  mutable Mutex mu_;
-  std::list<Stats> entries_ HALK_GUARDED_BY(mu_);  // MRU at front
-  std::unordered_map<std::string, std::list<Stats>::iterator> index_
-      HALK_GUARDED_BY(mu_);
-
-  mutable Mutex feedback_mu_;
-  std::list<query::Fingerprint> feedback_lru_ HALK_GUARDED_BY(feedback_mu_);
-  std::unordered_map<query::Fingerprint, FeedbackEntry,
-                     query::FingerprintHash>
-      feedback_ HALK_GUARDED_BY(feedback_mu_);
+  /// Keyed by fingerprint; the stored Stats' own `fingerprint` stays empty
+  /// (the readers fill it from the key), so no entry holds a third copy of
+  /// its key.
+  LruCache<std::string, Stats> stats_;
+  LruCache<query::Fingerprint, Feedback, query::FingerprintHash> feedback_;
 };
 
 }  // namespace halk::obs

@@ -6,7 +6,7 @@
 namespace halk::obs {
 
 SlowQueryLog::SlowQueryLog(size_t capacity, int64_t threshold_ns)
-    : capacity_(std::max<size_t>(capacity, 1)), threshold_ns_(threshold_ns) {}
+    : threshold_ns_(threshold_ns), entries_(std::max<size_t>(capacity, 1)) {}
 
 int64_t SlowQueryLog::threshold_ns() const {
   MutexLock lock(mu_);
@@ -21,47 +21,29 @@ void SlowQueryLog::set_threshold_ns(int64_t threshold_ns) {
 bool SlowQueryLog::Offer(const std::string& fingerprint, Trace trace,
                          int64_t plan_nodes, double dedup_ratio) {
   const int64_t duration = trace.duration_ns();
-  MutexLock lock(mu_);
-  if (threshold_ns_ <= 0 || duration < threshold_ns_) return false;
-  const uint64_t trace_id = trace.id();
-  auto it = index_.find(fingerprint);
-  if (it != index_.end()) {
-    Entry refreshed = std::move(*it->second);
-    entries_.erase(it->second);
-    refreshed.trace = std::move(trace);
-    refreshed.trace_id = trace_id;
-    refreshed.worst_ns = std::max(refreshed.worst_ns, duration);
-    refreshed.hits += 1;
-    refreshed.plan_nodes = plan_nodes;
-    refreshed.dedup_ratio = dedup_ratio;
-    entries_.push_front(std::move(refreshed));
-    it->second = entries_.begin();
-    return true;
-  }
-  entries_.push_front(Entry{fingerprint, std::move(trace), trace_id,
-                            duration, 1, plan_nodes, dedup_ratio});
-  index_[fingerprint] = entries_.begin();
-  while (entries_.size() > capacity_) {
-    index_.erase(entries_.back().fingerprint);
-    entries_.pop_back();
-  }
+  const int64_t threshold = threshold_ns();
+  if (threshold <= 0 || duration < threshold) return false;
+  // A fresh entry starts zeroed, so the same fold creates and refreshes.
+  entries_.Update(fingerprint, [&](Entry& entry) {
+    entry.trace_id = trace.id();
+    entry.trace = std::move(trace);
+    entry.worst_ns = std::max(entry.worst_ns, duration);
+    entry.hits += 1;
+    entry.plan_nodes = plan_nodes;
+    entry.dedup_ratio = dedup_ratio;
+  });
   return true;
 }
 
 std::vector<SlowQueryLog::Entry> SlowQueryLog::Entries() const {
-  MutexLock lock(mu_);
-  return {entries_.begin(), entries_.end()};
-}
-
-size_t SlowQueryLog::size() const {
-  MutexLock lock(mu_);
-  return entries_.size();
-}
-
-void SlowQueryLog::Clear() {
-  MutexLock lock(mu_);
-  entries_.clear();
-  index_.clear();
+  std::vector<std::pair<std::string, Entry>> snapshot = entries_.Snapshot();
+  std::vector<Entry> out;
+  out.reserve(snapshot.size());
+  for (auto& [fingerprint, entry] : snapshot) {
+    entry.fingerprint = std::move(fingerprint);
+    out.push_back(std::move(entry));
+  }
+  return out;
 }
 
 }  // namespace halk::obs

@@ -2,11 +2,10 @@
 #define HALK_OBS_SLOW_QUERY_LOG_H_
 
 #include <cstdint>
-#include <list>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
+#include "common/lru_cache.h"
 #include "common/mutex.h"
 #include "common/thread_annotations.h"
 #include "obs/trace.h"
@@ -17,8 +16,9 @@ namespace halk::obs {
 /// fingerprint so a single hot pathological query occupies one entry no
 /// matter how often it recurs (its hit count and latest/worst trace are
 /// updated in place). Least-recently-slow entries are evicted beyond
-/// `capacity`. Thread-safe; Offer is off the hot path (it only runs for
-/// requests that already blew the threshold).
+/// `capacity` (one common LRU map, common/lru_cache.h). Thread-safe;
+/// Offer is off the hot path (it only runs for requests that already blew
+/// the threshold).
 class SlowQueryLog {
  public:
   /// `threshold_ns` <= 0 rejects everything (a disabled log).
@@ -26,7 +26,7 @@ class SlowQueryLog {
 
   int64_t threshold_ns() const HALK_EXCLUDES(mu_);
   void set_threshold_ns(int64_t threshold_ns) HALK_EXCLUDES(mu_);
-  size_t capacity() const { return capacity_; }
+  size_t capacity() const { return entries_.capacity(); }
 
   /// Records `trace` under `fingerprint` when its duration is at or above
   /// the threshold; returns whether it was kept. An existing entry for the
@@ -54,17 +54,17 @@ class SlowQueryLog {
   };
 
   /// Entries most-recently-slow first.
-  std::vector<Entry> Entries() const HALK_EXCLUDES(mu_);
-  size_t size() const HALK_EXCLUDES(mu_);
-  void Clear() HALK_EXCLUDES(mu_);
+  std::vector<Entry> Entries() const;
+  size_t size() const { return entries_.size(); }
+  void Clear() { entries_.Clear(); }
 
  private:
-  const size_t capacity_;
   mutable Mutex mu_;
   int64_t threshold_ns_ HALK_GUARDED_BY(mu_);
-  std::list<Entry> entries_ HALK_GUARDED_BY(mu_);  // MRU at front
-  std::unordered_map<std::string, std::list<Entry>::iterator> index_
-      HALK_GUARDED_BY(mu_);
+  /// Keyed by fingerprint; the stored Entry's own `fingerprint` stays empty
+  /// (Entries fills it from the key), so no entry holds a third copy of
+  /// its key.
+  LruCache<std::string, Entry> entries_;
 };
 
 }  // namespace halk::obs

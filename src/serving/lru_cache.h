@@ -1,99 +1,13 @@
 #ifndef HALK_SERVING_LRU_CACHE_H_
 #define HALK_SERVING_LRU_CACHE_H_
 
-#include <cstddef>
-#include <cstdint>
-#include <list>
-#include <unordered_map>
-#include <utility>
-
-#include "common/mutex.h"
-#include "common/thread_annotations.h"
+#include "common/lru_cache.h"
 
 namespace halk::serving {
 
-/// Thread-safe LRU map with a fixed entry capacity. One mutex guards the
-/// recency list and the index — at serving batch sizes the critical
-/// section (a splice and a hash lookup) is far cheaper than the embedding
-/// work it shields, so a sharded design would be premature.
-template <typename K, typename V, typename Hash = std::hash<K>>
-class LruCache {
- public:
-  explicit LruCache(size_t capacity) : capacity_(capacity) {}
-
-  LruCache(const LruCache&) = delete;
-  LruCache& operator=(const LruCache&) = delete;
-
-  /// Copies the value into `*out` and marks the entry most-recently-used.
-  bool Get(const K& key, V* out) HALK_EXCLUDES(mu_) {
-    MutexLock lock(mu_);
-    auto it = index_.find(key);
-    if (it == index_.end()) {
-      ++misses_;
-      return false;
-    }
-    order_.splice(order_.begin(), order_, it->second);
-    ++hits_;
-    if (out != nullptr) *out = it->second->second;
-    return true;
-  }
-
-  /// Inserts or overwrites, evicting the least-recently-used entry when
-  /// over capacity. A zero-capacity cache stays empty.
-  void Put(const K& key, V value) HALK_EXCLUDES(mu_) {
-    MutexLock lock(mu_);
-    if (capacity_ == 0) return;
-    auto it = index_.find(key);
-    if (it != index_.end()) {
-      it->second->second = std::move(value);
-      order_.splice(order_.begin(), order_, it->second);
-      return;
-    }
-    order_.emplace_front(key, std::move(value));
-    index_[key] = order_.begin();
-    if (index_.size() > capacity_) {
-      index_.erase(order_.back().first);
-      order_.pop_back();
-      ++evictions_;
-    }
-  }
-
-  void Clear() HALK_EXCLUDES(mu_) {
-    MutexLock lock(mu_);
-    order_.clear();
-    index_.clear();
-  }
-
-  size_t size() const HALK_EXCLUDES(mu_) {
-    MutexLock lock(mu_);
-    return index_.size();
-  }
-  size_t capacity() const { return capacity_; }
-
-  int64_t hits() const HALK_EXCLUDES(mu_) {
-    MutexLock lock(mu_);
-    return hits_;
-  }
-  int64_t misses() const HALK_EXCLUDES(mu_) {
-    MutexLock lock(mu_);
-    return misses_;
-  }
-  int64_t evictions() const HALK_EXCLUDES(mu_) {
-    MutexLock lock(mu_);
-    return evictions_;
-  }
-
- private:
-  const size_t capacity_;
-  mutable Mutex mu_;
-  /// front = most recently used
-  std::list<std::pair<K, V>> order_ HALK_GUARDED_BY(mu_);
-  std::unordered_map<K, typename std::list<std::pair<K, V>>::iterator, Hash>
-      index_ HALK_GUARDED_BY(mu_);
-  int64_t hits_ HALK_GUARDED_BY(mu_) = 0;
-  int64_t misses_ HALK_GUARDED_BY(mu_) = 0;
-  int64_t evictions_ HALK_GUARDED_BY(mu_) = 0;
-};
+/// The answer cache is the common bounded map (common/lru_cache.h),
+/// budgeted in entries.
+using halk::LruCache;
 
 }  // namespace halk::serving
 

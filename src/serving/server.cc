@@ -213,31 +213,15 @@ Result<std::future<Result<TopKAnswer>>> QueryServer::Submit(
                               cached.distances.begin() + take);
       answer.from_cache = true;
       answer.trace_id = trace.trace_id;
-      const double latency_us = MicrosSince(now);
-      latency_us_->Observe(latency_us, trace.trace_id);
-      if (options_.slo != nullptr) {
-        options_.slo->RecordRequest(latency_us, /*ok=*/true);
-      }
       if (trace.active()) {
         lookup.Annotate("hit", 1.0);
         lookup.End();
-        obs::RecordSpan({trace.tracer, trace.trace_id, 0}, "request",
-                        submit_ns, obs::NowNs(), {{"cache_hit", 1.0}},
-                        root_span);
       }
-      if (options_.serve_journal != nullptr) {
-        options_.serve_journal->Record(key.ToHex(), "OK", latency_us, k,
-                                       /*coverage=*/1.0, /*cache_hit=*/true,
-                                       trace.trace_id);
-      }
-      if (query_stats_ != nullptr) {
-        obs::QueryObservation observation;
-        observation.latency_us = latency_us;
-        observation.cache_hit = true;
-        query_stats_->Record(key.ToHex(), observation);
-      }
+      Result<TopKAnswer> served(std::move(answer));
+      RecordCompletion(key, k, now, trace, root_span, submit_ns, served,
+                       /*request=*/nullptr);
       std::promise<Result<TopKAnswer>> ready;
-      ready.set_value(std::move(answer));
+      ready.set_value(std::move(served));
       return ready.get_future();
     }
     // Not counted as a miss yet: a twin in flight may fill the cache
@@ -286,47 +270,69 @@ void QueryServer::Finish(PendingRequest* request, Result<TopKAnswer> result) {
     completed_->Increment();
     result->trace_id = request->trace.trace_id;
   }
-  const double latency_us = MicrosSince(request->submit_time);
+  in_flight_->Add(-1.0);
+  RecordCompletion(request->key, request->k, request->submit_time,
+                   request->trace, request->root_span, request->submit_ns,
+                   result, request);
+  request->promise.set_value(std::move(result));
+}
+
+void QueryServer::RecordCompletion(const query::Fingerprint& key, int64_t k,
+                                   Clock::time_point submit_time,
+                                   const obs::TraceContext& trace,
+                                   uint32_t root_span, int64_t submit_ns,
+                                   const Result<TopKAnswer>& result,
+                                   PendingRequest* request) {
+  const bool ok = result.ok();
+  const bool cache_hit = ok && result->from_cache;
+  const double latency_us = MicrosSince(submit_time);
   // The trace id rides along as the landing bucket's exemplar, so a
   // scraped latency histogram links back to a concrete trace.
-  latency_us_->Observe(latency_us, request->trace.trace_id);
-  if (options_.slo != nullptr) {
-    options_.slo->RecordRequest(latency_us, result.ok());
-  }
-  in_flight_->Add(-1.0);
-  if (request->trace.active()) {
+  latency_us_->Observe(latency_us, trace.trace_id);
+  if (options_.slo != nullptr) options_.slo->RecordRequest(latency_us, ok);
+  // Rendered on first use, at most once per request.
+  std::string hex;
+  auto key_hex = [&hex, &key]() -> const std::string& {
+    if (hex.empty()) hex = key.ToHex();
+    return hex;
+  };
+  if (trace.active()) {
     const int64_t end_ns = obs::NowNs();
-    obs::RecordSpan({request->trace.tracer, request->trace.trace_id, 0},
-                    "request", request->submit_ns, end_ns,
-                    {{"ok", result.ok() ? 1.0 : 0.0}}, request->root_span);
-    if (slow_log_ != nullptr &&
-        end_ns - request->submit_ns >= slow_log_->threshold_ns()) {
-      slow_log_->Offer(
-          request->key.ToHex(),
-          request->trace.tracer->Collect(request->trace.trace_id),
-          request->plan_node_count, request->plan_dedup);
+    const obs::TraceContext root{trace.tracer, trace.trace_id, 0};
+    if (request == nullptr) {
+      obs::RecordSpan(root, "request", submit_ns, end_ns,
+                      {{"cache_hit", 1.0}}, root_span);
+    } else {
+      obs::RecordSpan(root, "request", submit_ns, end_ns,
+                      {{"ok", ok ? 1.0 : 0.0}}, root_span);
+      if (slow_log_ != nullptr &&
+          end_ns - submit_ns >= slow_log_->threshold_ns()) {
+        slow_log_->Offer(key_hex(), trace.tracer->Collect(trace.trace_id),
+                         request->plan_node_count, request->plan_dedup);
+      }
     }
   }
+  const int64_t plan_nodes = request != nullptr ? request->plan_node_count : 0;
+  const double plan_dedup = request != nullptr ? request->plan_dedup : 0.0;
   if (options_.serve_journal != nullptr) {
     options_.serve_journal->Record(
-        request->key.ToHex(),
-        result.ok() ? "OK" : StatusCodeToString(result.status().code()),
-        latency_us, request->k, result.ok() ? result->coverage : 0.0,
-        result.ok() && result->from_cache, request->trace.trace_id,
-        request->plan_node_count, request->plan_dedup);
+        key_hex(), ok ? "OK" : StatusCodeToString(result.status().code()),
+        latency_us, k, ok ? result->coverage : 0.0, cache_hit, trace.trace_id,
+        plan_nodes, plan_dedup);
   }
   if (query_stats_ != nullptr) {
     obs::QueryObservation observation;
-    observation.structure = std::move(request->structure);
     observation.latency_us = latency_us;
-    observation.cache_hit = result.ok() && result->from_cache;
-    observation.plan_nodes = request->plan_node_count;
-    observation.dedup_ratio = request->plan_dedup;
-    observation.worst_qerror = request->worst_qerror;
-    observation.op_ns = request->op_ns;
-    query_stats_->Record(request->key.ToHex(), observation);
+    observation.cache_hit = cache_hit;
+    observation.plan_nodes = plan_nodes;
+    observation.dedup_ratio = plan_dedup;
+    if (request != nullptr) {
+      observation.structure = std::move(request->structure);
+      observation.worst_qerror = request->worst_qerror;
+      observation.op_ns = request->op_ns;
+    }
+    query_stats_->Record(key_hex(), observation);
   }
-  request->promise.set_value(std::move(result));
 }
 
 void QueryServer::WorkerLoop() {

@@ -275,6 +275,16 @@ class QueryServer {
                     const std::vector<int64_t>& rows);
   [[nodiscard]] Status ValidateQuery(const query::QueryGraph& query, int64_t k) const;
   void Finish(PendingRequest* request, Result<TopKAnswer> result);
+  /// The one completion bookkeeping of every request, whether a worker
+  /// finished it (`request` set) or Submit answered it from the cache
+  /// (`request` null): latency histogram and exemplar, SLO record, root
+  /// `request` span, slow-query log (worker-finished only), serve journal
+  /// and query-stats record.
+  void RecordCompletion(const query::Fingerprint& key, int64_t k,
+                        std::chrono::steady_clock::time_point submit_time,
+                        const obs::TraceContext& trace, uint32_t root_span,
+                        int64_t submit_ns, const Result<TopKAnswer>& result,
+                        PendingRequest* request);
 
   core::QueryModel* model_;
   const kg::KnowledgeGraph* kg_;  // may be null

@@ -4,172 +4,63 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
-#include <list>
-#include <unordered_map>
-#include <utility>
 #include <vector>
 
-#include "common/mutex.h"
-#include "common/thread_annotations.h"
+#include "common/lru_cache.h"
 #include "query/fingerprint.h"
 
 namespace halk::serving {
 
-/// Intermediate-result cache of the planner path: one embedding row
-/// (center row ‖ length row, 2·d floats) per unique subtree fingerprint,
-/// shared by every serving worker. Where the final-answer LRU cache only
-/// pays off when whole queries repeat, this one hits whenever any
-/// *subtree* repeats across requests, which diverse workloads do
-/// constantly.
-///
-/// Unlike LruCache it is byte-budgeted — entries are small but unbounded
-/// in count — and carries invalidation hooks: each entry is tagged with
-/// the sorted relations of its subtree, so a KG update along relation r
-/// can evict exactly the embeddings it staled with InvalidateRelation(r).
-/// (Entity or parameter updates are coarser — use Clear().)
-///
-/// Thread-safe; one mutex guards the recency list and index, same
-/// reasoning as LruCache.
-class SubtreeCache {
- public:
-  struct Entry {
-    /// Center row followed by length row: 2·d floats.
-    std::vector<float> row;
-    /// Sorted distinct relations of the subtree (invalidation tags).
-    std::vector<int64_t> relations;
-  };
+/// One cached subtree embedding (SubtreeCache::Entry).
+struct SubtreeCacheEntry {
+  /// Center row followed by length row: 2·d floats.
+  std::vector<float> row;
+  /// Sorted distinct relations of the subtree (invalidation tags).
+  std::vector<int64_t> relations;
+};
 
-  explicit SubtreeCache(size_t capacity_bytes)
-      : capacity_bytes_(capacity_bytes) {}
-
-  SubtreeCache(const SubtreeCache&) = delete;
-  SubtreeCache& operator=(const SubtreeCache&) = delete;
-
-  /// Copies the entry into `*out` (if non-null) and marks it
-  /// most-recently-used.
-  bool Get(const query::Fingerprint& key, Entry* out) HALK_EXCLUDES(mu_) {
-    MutexLock lock(mu_);
-    auto it = index_.find(key);
-    if (it == index_.end()) {
-      ++misses_;
-      return false;
-    }
-    order_.splice(order_.begin(), order_, it->second);
-    ++hits_;
-    if (out != nullptr) *out = it->second->second;
-    return true;
-  }
-
-  /// Presence probe without recency or counter side effects (explain).
-  bool Contains(const query::Fingerprint& key) const HALK_EXCLUDES(mu_) {
-    MutexLock lock(mu_);
-    return index_.find(key) != index_.end();
-  }
-
-  /// Inserts or overwrites, then evicts least-recently-used entries until
-  /// the byte budget holds. An entry larger than the whole budget is
-  /// dropped on the floor.
-  void Put(const query::Fingerprint& key, Entry entry) HALK_EXCLUDES(mu_) {
-    MutexLock lock(mu_);
-    const size_t entry_bytes = EntryBytes(entry);
-    if (entry_bytes > capacity_bytes_) return;
-    auto it = index_.find(key);
-    if (it != index_.end()) {
-      bytes_ -= EntryBytes(it->second->second);
-      it->second->second = std::move(entry);
-      bytes_ += entry_bytes;
-      order_.splice(order_.begin(), order_, it->second);
-    } else {
-      order_.emplace_front(key, std::move(entry));
-      index_[key] = order_.begin();
-      bytes_ += entry_bytes;
-    }
-    while (bytes_ > capacity_bytes_ && !order_.empty()) {
-      bytes_ -= EntryBytes(order_.back().second);
-      index_.erase(order_.back().first);
-      order_.pop_back();
-      ++evictions_;
-    }
-  }
-
-  /// Drops every entry whose subtree uses `relation`; returns the number
-  /// evicted. Call after adding/removing triples of that relation.
-  size_t InvalidateRelation(int64_t relation) HALK_EXCLUDES(mu_) {
-    MutexLock lock(mu_);
-    size_t dropped = 0;
-    for (auto it = order_.begin(); it != order_.end();) {
-      const std::vector<int64_t>& tags = it->second.relations;
-      if (std::binary_search(tags.begin(), tags.end(), relation)) {
-        bytes_ -= EntryBytes(it->second);
-        index_.erase(it->first);
-        it = order_.erase(it);
-        ++dropped;
-      } else {
-        ++it;
-      }
-    }
-    invalidations_ += static_cast<int64_t>(dropped);
-    return dropped;
-  }
-
-  void Clear() HALK_EXCLUDES(mu_) {
-    MutexLock lock(mu_);
-    order_.clear();
-    index_.clear();
-    bytes_ = 0;
-  }
-
-  size_t bytes() const HALK_EXCLUDES(mu_) {
-    MutexLock lock(mu_);
-    return bytes_;
-  }
-  size_t capacity_bytes() const { return capacity_bytes_; }
-  size_t size() const HALK_EXCLUDES(mu_) {
-    MutexLock lock(mu_);
-    return index_.size();
-  }
-  int64_t hits() const HALK_EXCLUDES(mu_) {
-    MutexLock lock(mu_);
-    return hits_;
-  }
-  int64_t misses() const HALK_EXCLUDES(mu_) {
-    MutexLock lock(mu_);
-    return misses_;
-  }
-  int64_t evictions() const HALK_EXCLUDES(mu_) {
-    MutexLock lock(mu_);
-    return evictions_;
-  }
-  int64_t invalidations() const HALK_EXCLUDES(mu_) {
-    MutexLock lock(mu_);
-    return invalidations_;
-  }
-
- private:
-  /// Charged bytes: payload plus a fixed estimate of list/map node
-  /// overhead, so millions of tiny entries cannot blow past the budget.
-  static size_t EntryBytes(const Entry& entry) {
+/// Charged bytes of a subtree entry: payload plus a fixed estimate of
+/// list/map node overhead, so millions of tiny entries cannot blow past
+/// the budget.
+struct SubtreeEntryBytes {
+  static constexpr size_t kNodeOverheadBytes = 96;
+  size_t operator()(const SubtreeCacheEntry& entry) const {
     return entry.row.size() * sizeof(float) +
            entry.relations.size() * sizeof(int64_t) + kNodeOverheadBytes;
   }
+};
 
-  static constexpr size_t kNodeOverheadBytes = 96;
+/// Intermediate-result cache of the planner path: one embedding row
+/// (center row ‖ length row, 2·d floats) per unique subtree fingerprint,
+/// shared by every serving worker. Where the final-answer cache only pays
+/// off when whole queries repeat, this one hits whenever any *subtree*
+/// repeats across requests, which diverse workloads do constantly.
+///
+/// The common LRU map budgeted in bytes — entries are small but unbounded
+/// in count — plus an invalidation hook: each entry is tagged with the
+/// sorted relations of its subtree, so a KG update along relation r can
+/// evict exactly the embeddings it staled with InvalidateRelation(r).
+/// (Entity or parameter updates are coarser — use Clear().) Thread-safe.
+class SubtreeCache : public LruCache<query::Fingerprint, SubtreeCacheEntry,
+                                     query::FingerprintHash,
+                                     SubtreeEntryBytes> {
+ public:
+  using Entry = SubtreeCacheEntry;
 
-  const size_t capacity_bytes_;
-  mutable Mutex mu_;
-  /// front = most recently used
-  std::list<std::pair<query::Fingerprint, Entry>> order_
-      HALK_GUARDED_BY(mu_);
-  std::unordered_map<
-      query::Fingerprint,
-      std::list<std::pair<query::Fingerprint, Entry>>::iterator,
-      query::FingerprintHash>
-      index_ HALK_GUARDED_BY(mu_);
-  size_t bytes_ HALK_GUARDED_BY(mu_) = 0;
-  int64_t hits_ HALK_GUARDED_BY(mu_) = 0;
-  int64_t misses_ HALK_GUARDED_BY(mu_) = 0;
-  int64_t evictions_ HALK_GUARDED_BY(mu_) = 0;
-  int64_t invalidations_ HALK_GUARDED_BY(mu_) = 0;
+  explicit SubtreeCache(size_t capacity_bytes) : LruCache(capacity_bytes) {}
+
+  /// Drops every entry whose subtree uses `relation`; returns the number
+  /// evicted. Call after adding/removing triples of that relation.
+  size_t InvalidateRelation(int64_t relation) {
+    return EraseIf([relation](const query::Fingerprint&, const Entry& entry) {
+      return std::binary_search(entry.relations.begin(),
+                                entry.relations.end(), relation);
+    });
+  }
+
+  size_t bytes() const { return charged(); }
+  size_t capacity_bytes() const { return capacity(); }
+  int64_t invalidations() const { return erased(); }
 };
 
 }  // namespace halk::serving

@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "common/status.h"
 #include "core/halk_model.h"
@@ -13,37 +12,17 @@
 
 namespace halk::store {
 
-/// A fully materialized legacy `--checkpoint` blob (HALKCKPT v1,
-/// core/checkpoint.cc): model name, config, and every parameter tensor as
-/// flat floats in HalkModel::Parameters() order (index 0 is the entity
-/// table).
-struct LegacyCheckpoint {
-  std::string model_name;
-  core::ModelConfig config;
-  std::vector<std::vector<float>> tensors;
-};
-
-/// Reads a legacy checkpoint blob without needing a model instance (unlike
-/// core::LoadCheckpoint, which loads into an existing model). Verifies the
-/// trailing checksum.
-[[nodiscard]] Status ReadLegacyCheckpoint(const std::string& path,
-                                          LegacyCheckpoint* out);
-
-/// Writes a legacy checkpoint blob byte-identically to core::SaveCheckpoint
-/// of a model holding the same tensors — the compatibility guarantee the
-/// blob -> snapshot -> blob round-trip test pins down.
-[[nodiscard]] Status WriteLegacyCheckpoint(const std::string& path,
-                                           const LegacyCheckpoint& ckpt);
-
-/// Legacy blob -> store snapshot: entity table (tensor 0) streams into
-/// `num_shards` shard files, the rest becomes the params blob.
+/// Checkpoint blob (core::SaveCheckpoint) -> store snapshot: the entity
+/// table (tensor 0) streams into `num_shards` shard files, the rest
+/// becomes the params blob.
 [[nodiscard]] Status ConvertCheckpointToSnapshot(const std::string& blob_path,
                                                  const std::string& dir,
                                                  int64_t num_shards);
 
-/// Store snapshot -> legacy blob (requires the snapshot to carry params).
-/// Materializes the entity table in RAM — meant for legacy-scale models,
-/// not the streamed million-entity stores.
+/// Store snapshot -> checkpoint blob (requires the snapshot to carry
+/// params), byte-identical to core::SaveCheckpoint of a model holding the
+/// same tensors. Materializes the entity table in RAM — meant for
+/// checkpoint-scale models, not the streamed million-entity stores.
 [[nodiscard]] Status ConvertSnapshotToCheckpoint(const std::string& dir,
                                                  const std::string& blob_path);
 

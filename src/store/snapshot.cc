@@ -2,12 +2,12 @@
 
 #include <cerrno>
 #include <cmath>
-#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <sstream>
 
+#include "common/atomic_file.h"
 #include "common/string_util.h"
 #include "store/format.h"
 
@@ -274,20 +274,11 @@ Status LoadManifest(const std::string& dir, StoreSnapshot* out) {
 }
 
 Status WriteManifest(const std::string& dir, const StoreSnapshot& snapshot) {
-  const std::string path = dir + "/" + kManifestFileName;
-  const std::string tmp = path + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    if (!out.is_open()) {
-      return Status::IOError("cannot create " + tmp);
-    }
-    out << SerializeManifest(snapshot);
-    if (!out.good()) return Status::IOError("write failed: " + tmp);
-  }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    return Status::IOError("rename failed: " + tmp + " -> " + path);
-  }
-  return Status::OK();
+  const std::string text = SerializeManifest(snapshot);
+  AtomicFileWriter file;
+  HALK_RETURN_NOT_OK(file.Open(dir + "/" + kManifestFileName));
+  file.Write(text.data(), text.size());
+  return file.Commit();
 }
 
 }  // namespace halk::store

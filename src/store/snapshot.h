@@ -55,7 +55,8 @@ std::string SerializeManifest(const StoreSnapshot& snapshot);
 /// Reads and parses `<dir>/MANIFEST.halksnap`.
 [[nodiscard]] Status LoadManifest(const std::string& dir, StoreSnapshot* out);
 
-/// Atomically (tmp + rename) writes `<dir>/MANIFEST.halksnap`.
+/// Durably and atomically (common/atomic_file.h) writes
+/// `<dir>/MANIFEST.halksnap`.
 [[nodiscard]] Status WriteManifest(const std::string& dir,
                                    const StoreSnapshot& snapshot);
 

@@ -5,9 +5,7 @@
 
 #include <algorithm>
 #include <cerrno>
-#include <cstdio>
 #include <cstring>
-#include <fstream>
 
 #include "common/string_util.h"
 #include "store/format.h"
@@ -15,75 +13,6 @@
 namespace halk::store {
 
 namespace {
-
-constexpr char kParamsMagic[8] = {'H', 'A', 'L', 'K', 'P', 'R', 'M', 'B'};
-constexpr uint32_t kParamsVersion = 1;
-
-/// Rolling-FNV stream writer/reader matching the legacy checkpoint byte
-/// conventions (core/checkpoint.cc): raw PODs, trailing u64 checksum that
-/// covers every preceding byte.
-class BlobWriter {
- public:
-  explicit BlobWriter(std::ofstream* out) : out_(out) {}
-
-  template <typename T>
-  void Pod(const T& value) {
-    Raw(&value, sizeof(T));
-  }
-  void Raw(const void* data, size_t n) {
-    out_->write(static_cast<const char*>(data),
-                static_cast<std::streamsize>(n));
-    hash_ = Fnv1a64(data, n, hash_);
-  }
-  uint64_t hash() const { return hash_; }
-
- private:
-  std::ofstream* out_;
-  uint64_t hash_ = kFnv1a64Seed;
-};
-
-class BlobReader {
- public:
-  explicit BlobReader(std::ifstream* in) : in_(in) {}
-
-  template <typename T>
-  bool Pod(T* value) {
-    return Raw(value, sizeof(T));
-  }
-  bool Raw(void* data, size_t n) {
-    in_->read(static_cast<char*>(data), static_cast<std::streamsize>(n));
-    if (!in_->good()) return false;
-    hash_ = Fnv1a64(data, n, hash_);
-    return true;
-  }
-  uint64_t hash() const { return hash_; }
-
- private:
-  std::ifstream* in_;
-  uint64_t hash_ = kFnv1a64Seed;
-};
-
-void PutConfig(BlobWriter* w, const core::ModelConfig& c) {
-  // Field order matches the legacy checkpoint so the two formats cannot
-  // drift apart silently.
-  w->Pod(c.num_entities);
-  w->Pod(c.num_relations);
-  w->Pod(c.dim);
-  w->Pod(c.hidden);
-  w->Pod(c.rho);
-  w->Pod(c.lambda);
-  w->Pod(c.eta);
-  w->Pod(c.gamma);
-  w->Pod(c.xi);
-  w->Pod(c.seed);
-}
-
-bool GetConfig(BlobReader* r, core::ModelConfig* c) {
-  return r->Pod(&c->num_entities) && r->Pod(&c->num_relations) &&
-         r->Pod(&c->dim) && r->Pod(&c->hidden) && r->Pod(&c->rho) &&
-         r->Pod(&c->lambda) && r->Pod(&c->eta) && r->Pod(&c->gamma) &&
-         r->Pod(&c->xi) && r->Pod(&c->seed);
-}
 
 Status EnsureDir(const std::string& dir) {
   if (::mkdir(dir.c_str(), 0755) == 0 || errno == EEXIST) {
@@ -95,99 +24,17 @@ Status EnsureDir(const std::string& dir) {
 
 }  // namespace
 
-Status WriteParamsBlob(const std::string& path,
-                       const std::string& model_name,
-                       const core::ModelConfig& config,
-                       const std::vector<std::vector<float>>& tensors,
-                       uint64_t* checksum) {
-  const std::string tmp = path + ".tmp";
-  std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-  if (!out.is_open()) {
-    return Status::IOError("cannot open " + tmp + " for writing");
+Status ReadParamsBlob(const std::string& dir, const StoreSnapshot& snapshot,
+                      core::TensorBlob* out) {
+  if (!snapshot.has_params) {
+    return Status::InvalidArgument("snapshot has no params blob: " + dir);
   }
-  BlobWriter w(&out);
-  w.Raw(kParamsMagic, sizeof(kParamsMagic));
-  w.Pod(kParamsVersion);
-  const uint32_t name_len = static_cast<uint32_t>(model_name.size());
-  w.Pod(name_len);
-  w.Raw(model_name.data(), model_name.size());
-  PutConfig(&w, config);
-  const uint64_t num_tensors = tensors.size();
-  w.Pod(num_tensors);
-  for (const std::vector<float>& t : tensors) {
-    const uint64_t numel = t.size();
-    w.Pod(numel);
-    w.Raw(t.data(), sizeof(float) * t.size());
-  }
-  const uint64_t h = w.hash();
-  out.write(reinterpret_cast<const char*>(&h), sizeof(h));
-  if (!out.good()) return Status::IOError("write failed: " + tmp);
-  out.close();
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    return Status::IOError("rename failed: " + tmp + " -> " + path);
-  }
-  *checksum = h;
-  return Status::OK();
-}
-
-Status ReadParamsBlob(const std::string& path, std::string* model_name,
-                      core::ModelConfig* config,
-                      std::vector<std::vector<float>>* tensors,
-                      uint64_t* checksum) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in.is_open()) {
-    return Status::IOError("cannot open " + path);
-  }
-  BlobReader r(&in);
-  char magic[8];
-  if (!r.Raw(magic, sizeof(magic)) ||
-      std::memcmp(magic, kParamsMagic, sizeof(kParamsMagic)) != 0) {
-    return Status::ParseError("bad params-blob magic: " + path);
-  }
-  uint32_t version = 0;
-  if (!r.Pod(&version) || version != kParamsVersion) {
+  HALK_RETURN_NOT_OK(core::ReadTensorBlob(dir + "/" + kParamsFileName,
+                                          core::kParamsBlobMagic, out));
+  if (out->checksum != snapshot.params_checksum) {
     return Status::ParseError(
-        StrFormat("unsupported params-blob version %u", version));
+        "params blob checksum disagrees with the manifest: " + dir);
   }
-  uint32_t name_len = 0;
-  if (!r.Pod(&name_len) || name_len > 256) {
-    return Status::ParseError("bad model name length: " + path);
-  }
-  std::string name(name_len, '\0');
-  if (!r.Raw(name.data(), name_len)) {
-    return Status::ParseError("truncated params blob: " + path);
-  }
-  core::ModelConfig c;
-  if (!GetConfig(&r, &c)) {
-    return Status::ParseError("truncated params-blob config: " + path);
-  }
-  uint64_t num_tensors = 0;
-  if (!r.Pod(&num_tensors) || num_tensors > 4096) {
-    return Status::ParseError("bad params-blob tensor count: " + path);
-  }
-  std::vector<std::vector<float>> staged(num_tensors);
-  for (uint64_t t = 0; t < num_tensors; ++t) {
-    uint64_t numel = 0;
-    if (!r.Pod(&numel) || numel > (uint64_t{1} << 32)) {
-      return Status::ParseError(
-          StrFormat("bad params-blob tensor %llu size",
-                    static_cast<unsigned long long>(t)));
-    }
-    staged[t].resize(static_cast<size_t>(numel));
-    if (!r.Raw(staged[t].data(), sizeof(float) * staged[t].size())) {
-      return Status::ParseError("truncated params-blob tensor data: " + path);
-    }
-  }
-  const uint64_t computed = r.hash();
-  uint64_t stored = 0;
-  in.read(reinterpret_cast<char*>(&stored), sizeof(stored));
-  if (!in.good() || stored != computed) {
-    return Status::ParseError("params-blob checksum mismatch: " + path);
-  }
-  *model_name = std::move(name);
-  *config = c;
-  *tensors = std::move(staged);
-  *checksum = stored;
   return Status::OK();
 }
 
@@ -275,10 +122,17 @@ Status SnapshotWriter::Finish() {
     snapshot_.shards[i].header_checksum = writers_[i]->header_checksum();
   }
   if (has_params_) {
+    std::vector<core::TensorView> views;
+    views.reserve(params_.size());
+    for (const std::vector<float>& t : params_) {
+      views.push_back({t.data(), t.size()});
+    }
     snapshot_.has_params = true;
-    HALK_RETURN_NOT_OK(WriteParamsBlob(
-        options_.dir + "/" + kParamsFileName, snapshot_.model_name,
-        snapshot_.config, params_, &snapshot_.params_checksum));
+    HALK_ASSIGN_OR_RETURN(
+        snapshot_.params_checksum,
+        core::WriteTensorBlob(options_.dir + "/" + kParamsFileName,
+                              core::kParamsBlobMagic, snapshot_.model_name,
+                              snapshot_.config, views));
   }
   // Manifest last: its presence is what makes the directory a loadable
   // snapshot.

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "common/status.h"
+#include "core/checkpoint.h"
 #include "core/halk_model.h"
 #include "core/query_model.h"
 #include "store/shard_file.h"
@@ -14,25 +15,15 @@
 
 namespace halk::store {
 
-/// Writes the non-entity parameter blob (`params.halkblob`): everything a
+/// Reads a snapshot's params blob (`<dir>/params.halkblob`): everything a
 /// serving model needs besides the entity table, which lives in the shard
-/// files. Same byte conventions as the legacy checkpoint (raw PODs, rolling
-/// FNV-1a trailer) with its own magic. `tensors` is flat float data in
-/// HalkModel::Parameters() order minus the entity table. On success
-/// `*checksum` receives the blob's trailing checksum (what the manifest
-/// binds).
-[[nodiscard]] Status WriteParamsBlob(
-    const std::string& path, const std::string& model_name,
-    const core::ModelConfig& config,
-    const std::vector<std::vector<float>>& tensors, uint64_t* checksum);
-
-/// Reads a params blob back, verifying the trailing checksum. On success
-/// `*checksum` receives it for comparison against the manifest.
-[[nodiscard]] Status ReadParamsBlob(const std::string& path,
-                                    std::string* model_name,
-                                    core::ModelConfig* config,
-                                    std::vector<std::vector<float>>* tensors,
-                                    uint64_t* checksum);
+/// files — the tensors of HalkModel::Parameters() minus the entity table,
+/// as a kParamsBlobMagic tensor blob (core/checkpoint.h). Fails unless the
+/// snapshot carries params and the blob's checksum is the one `snapshot`'s
+/// manifest binds.
+[[nodiscard]] Status ReadParamsBlob(const std::string& dir,
+                                    const StoreSnapshot& snapshot,
+                                    core::TensorBlob* out);
 
 struct SnapshotWriterOptions {
   std::string dir;

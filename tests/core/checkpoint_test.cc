@@ -1,8 +1,18 @@
 #include "core/checkpoint.h"
 
+#include <sys/stat.h>
+#include <unistd.h>
+
+#include <cstdint>
 #include <cstdio>
+#include <fstream>
+#include <sstream>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
+
+#include "common/hash.h"
 
 #include "baselines/factory.h"
 #include "core/evaluator.h"
@@ -40,6 +50,49 @@ class CheckpointTest : public ::testing::Test {
 
   std::string TempPath(const char* name) {
     return testing::TempDir() + "/" + name;
+  }
+
+  static std::string Slurp(const std::string& path) {
+    std::ifstream in(path, std::ios::binary);
+    std::ostringstream out;
+    out << in.rdbuf();
+    return out.str();
+  }
+
+  static void WriteBytes(const std::string& path, const std::string& bytes) {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out << bytes;
+  }
+
+  /// A checkpoint header (empty model name, default config) followed by
+  /// `count`, then `numels` as the first tensor sizes, and a few payload
+  /// bytes: a file of about a hundred bytes whose size fields claim far
+  /// more than it holds.
+  static std::string ForgedBlob(uint64_t count,
+                                const std::vector<uint64_t>& numels) {
+    std::string bytes(kCheckpointMagic, sizeof(kCheckpointMagic));
+    auto put = [&bytes](const auto& v) {
+      bytes.append(reinterpret_cast<const char*>(&v), sizeof(v));
+    };
+    put(uint32_t{1});  // version
+    put(uint32_t{0});  // name length
+    const ModelConfig c;
+    put(c.num_entities);
+    put(c.num_relations);
+    put(c.dim);
+    put(c.hidden);
+    put(c.rho);
+    put(c.lambda);
+    put(c.eta);
+    put(c.gamma);
+    put(c.xi);
+    put(c.seed);
+    put(count);
+    for (const uint64_t numel : numels) put(numel);
+    put(1.0f);
+    put(2.0f);
+    put(Fnv1a64(bytes.data(), bytes.size()));
+    return bytes;
   }
 
   static kg::Dataset* dataset_;
@@ -125,6 +178,77 @@ TEST_F(CheckpointTest, DetectsCorruption) {
   HalkModel b(SmallConfig(8), nullptr);
   Status s = LoadCheckpoint(&b, path);
   EXPECT_FALSE(s.ok());
+  std::remove(path.c_str());
+}
+
+TEST_F(CheckpointTest, FailedSaveKeepsThePreviousCheckpoint) {
+  HalkModel a(SmallConfig(3), nullptr);
+  const std::string path = TempPath("halk_ckpt_durable.bin");
+  const std::string tmp = path + ".tmp";
+  ::rmdir(tmp.c_str());
+  ASSERT_TRUE(SaveCheckpoint(a, path).ok());
+  const std::string before = Slurp(path);
+
+  // A directory squatting on the tmp name makes the next save fail.
+  ASSERT_EQ(::mkdir(tmp.c_str(), 0755), 0);
+  HalkModel b(SmallConfig(4), nullptr);
+  EXPECT_EQ(SaveCheckpoint(b, path).code(), StatusCode::kIOError);
+  EXPECT_EQ(Slurp(path), before);
+  HalkModel restored(SmallConfig(5), nullptr);
+  ASSERT_TRUE(LoadCheckpoint(&restored, path).ok());
+  EXPECT_EQ(restored.Parameters()[0].at(0), a.Parameters()[0].at(0));
+
+  // Once the obstacle is gone the save replaces the file whole.
+  ASSERT_EQ(::rmdir(tmp.c_str()), 0);
+  ASSERT_TRUE(SaveCheckpoint(b, path).ok());
+  EXPECT_NE(Slurp(path), before);
+  EXPECT_NE(::access(tmp.c_str(), F_OK), 0);
+  std::remove(path.c_str());
+}
+
+TEST_F(CheckpointTest, SizeFieldsBeyondTheFileAreParseErrors) {
+  const std::string path = TempPath("halk_ckpt_forged.bin");
+  TensorBlob blob;
+  // One tensor claiming 2^30 floats (4 GiB) in a file of ~100 bytes.
+  WriteBytes(path, ForgedBlob(1, {uint64_t{1} << 30}));
+  EXPECT_EQ(ReadTensorBlob(path, kCheckpointMagic, &blob).code(),
+            StatusCode::kParseError);
+  // A tensor count that cannot fit either, and one that overflows.
+  WriteBytes(path, ForgedBlob(uint64_t{1} << 40, {}));
+  EXPECT_EQ(ReadTensorBlob(path, kCheckpointMagic, &blob).code(),
+            StatusCode::kParseError);
+  WriteBytes(path, ForgedBlob(~uint64_t{0}, {}));
+  EXPECT_EQ(ReadTensorBlob(path, kCheckpointMagic, &blob).code(),
+            StatusCode::kParseError);
+  HalkModel model(SmallConfig(), nullptr);
+  WriteBytes(path, ForgedBlob(1, {uint64_t{1} << 30}));
+  EXPECT_EQ(LoadCheckpoint(&model, path).code(), StatusCode::kParseError);
+  std::remove(path.c_str());
+}
+
+TEST_F(CheckpointTest, ForgedBlobWithHonestSizesDecodes) {
+  // The forging helper itself writes a valid blob when its sizes are true,
+  // so the rejections above are down to the size fields alone.
+  const std::string path = TempPath("halk_ckpt_honest.bin");
+  WriteBytes(path, ForgedBlob(1, {2}));
+  TensorBlob blob;
+  ASSERT_TRUE(ReadTensorBlob(path, kCheckpointMagic, &blob).ok());
+  ASSERT_EQ(blob.num_tensors(), 1u);
+  EXPECT_EQ(blob.tensor(0).numel, 2u);
+  EXPECT_EQ(blob.tensor(0).data[1], 2.0f);
+  std::remove(path.c_str());
+}
+
+TEST_F(CheckpointTest, TrailingBytesAndTheOtherMagicAreRejected) {
+  HalkModel a(SmallConfig(), nullptr);
+  const std::string path = TempPath("halk_ckpt_trailing.bin");
+  ASSERT_TRUE(SaveCheckpoint(a, path).ok());
+  TensorBlob blob;
+  EXPECT_EQ(ReadTensorBlob(path, kParamsBlobMagic, &blob).code(),
+            StatusCode::kParseError);
+  WriteBytes(path, Slurp(path) + "x");
+  EXPECT_EQ(ReadTensorBlob(path, kCheckpointMagic, &blob).code(),
+            StatusCode::kParseError);
   std::remove(path.c_str());
 }
 

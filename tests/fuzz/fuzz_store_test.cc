@@ -1,12 +1,49 @@
+#include <atomic>
 #include <cstdint>
+#include <cstdlib>
+#include <fstream>
+#include <new>
+#include <sstream>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/hash.h"
+#include "core/checkpoint.h"
 #include "fuzz/fuzz_harness.h"
 #include "store/format.h"
 #include "store/snapshot.h"
+
+// This binary replaces the global operator new/delete pair (malloc/free
+// underneath) to watch allocation sizes; GCC's mismatch warning cannot see
+// that the replacement pairs them.
+#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
+
+namespace {
+
+// Largest single operator-new request made while `g_track_allocations` is
+// set: the blob-codec case checks that no input makes the decoder size an
+// allocation beyond the input itself.
+std::atomic<bool> g_track_allocations{false};
+std::atomic<size_t> g_largest_allocation{0};
+
+}  // namespace
+
+void* operator new(std::size_t n) {
+  // order: single-threaded test bookkeeping; relaxed is enough.
+  if (g_track_allocations.load(std::memory_order_relaxed)) {
+    size_t seen = g_largest_allocation.load(std::memory_order_relaxed);
+    while (n > seen && !g_largest_allocation.compare_exchange_weak(
+                           seen, n, std::memory_order_relaxed)) {
+    }
+  }
+  if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
+  throw std::bad_alloc();
+}
+
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t /*n*/) noexcept { std::free(p); }
 
 namespace halk::store {
 namespace {
@@ -123,6 +160,100 @@ TEST(FuzzStoreTest, HeaderParserNeverCrashesAndAcceptsOnlyValidGeometry) {
         }
         EXPECT_EQ(rows, out.rows()) << tag;
       });
+}
+
+std::string ReadBytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream out;
+  out << in.rdbuf();
+  return out.str();
+}
+
+void WriteBytes(const std::string& path, const std::string& bytes) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out << bytes;
+}
+
+/// Rewrites the trailing checksum so a mutant gets past it and reaches the
+/// size and structure checks behind it.
+std::string Reseal(std::string bytes) {
+  if (bytes.size() < sizeof(uint64_t)) return bytes;
+  const size_t body = bytes.size() - sizeof(uint64_t);
+  const uint64_t h = Fnv1a64(bytes.data(), body);
+  bytes.replace(body, sizeof(h), reinterpret_cast<const char*>(&h), sizeof(h));
+  return bytes;
+}
+
+TEST(FuzzStoreTest, BlobCodecNeverCrashesOverAllocatesOrMisencodes) {
+  const std::string dir = testing::TempDir();
+  const std::string in_path = dir + "/fuzz_blob_in";
+  const std::string out_path = dir + "/fuzz_blob_out";
+  // Corpus: valid blobs of both magics with varied names and tensor
+  // shapes, including empty tensors and an empty tensor list.
+  core::ModelConfig config;
+  config.num_entities = 5;
+  config.num_relations = 2;
+  config.dim = 3;
+  config.hidden = 4;
+  const std::vector<float> floats = {0.5f, -1.25f, 3.0f, 1e-7f, -0.0f,
+                                     2.5f, 7.0f,   -9.5f};
+  const std::vector<std::vector<core::TensorView>> shapes = {
+      {{floats.data(), 8}, {floats.data(), 3}},
+      {{floats.data(), 0}, {floats.data() + 2, 5}, {floats.data(), 1}},
+      {},
+  };
+  std::vector<std::string> corpus;
+  for (const auto* magic : {&core::kCheckpointMagic, &core::kParamsBlobMagic}) {
+    for (size_t i = 0; i < shapes.size(); ++i) {
+      ASSERT_TRUE(core::WriteTensorBlob(in_path, *magic,
+                                        i == 0 ? "HaLk" : "q2b", config,
+                                        shapes[i])
+                      .ok());
+      corpus.push_back(ReadBytes(in_path));
+    }
+  }
+  const std::vector<std::string> tokens = {
+      std::string(core::kCheckpointMagic, 8),
+      std::string(core::kParamsBlobMagic, 8), std::string(8, '\xff'),
+      std::string(8, '\0'), std::string("\x01\0\0\0", 4)};
+
+  auto check = [&](const std::string& input, const std::string& tag) {
+    WriteBytes(in_path, input);
+    for (const auto* magic :
+         {&core::kCheckpointMagic, &core::kParamsBlobMagic}) {
+      core::TensorBlob blob;
+      // order: single-threaded; see operator new above.
+      g_largest_allocation.store(0, std::memory_order_relaxed);
+      g_track_allocations.store(true, std::memory_order_relaxed);
+      const Status status = core::ReadTensorBlob(in_path, *magic, &blob);
+      g_track_allocations.store(false, std::memory_order_relaxed);
+      // Error messages name the path; everything else is bounded by the
+      // input.
+      EXPECT_LE(g_largest_allocation.load(std::memory_order_relaxed),
+                input.size() + in_path.size() + 256)
+          << tag;
+      if (!status.ok()) {
+        EXPECT_EQ(status.code(), StatusCode::kParseError) << tag;
+        continue;
+      }
+      std::vector<core::TensorView> views;
+      for (size_t t = 0; t < blob.num_tensors(); ++t) {
+        views.push_back(blob.tensor(t));
+      }
+      Result<uint64_t> written = core::WriteTensorBlob(
+          out_path, *magic, blob.model_name, blob.config, views);
+      ASSERT_TRUE(written.ok()) << tag;
+      EXPECT_EQ(*written, blob.checksum) << tag;
+      EXPECT_EQ(ReadBytes(out_path), input) << tag;
+    }
+  };
+  fuzz::RunCorpus(corpus, tokens, /*seed=*/1414, /*iterations=*/1500,
+                  [&](const std::string& input, const std::string& tag) {
+                    check(input, tag);
+                    check(Reseal(input), tag + " resealed");
+                  });
+  std::remove(in_path.c_str());
+  std::remove(out_path.c_str());
 }
 
 }  // namespace

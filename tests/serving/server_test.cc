@@ -4,6 +4,9 @@
 #include <chrono>
 #include <cstdint>
 #include <future>
+#include <memory>
+#include <sstream>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -13,6 +16,7 @@
 #include "core/evaluator.h"
 #include "core/halk_model.h"
 #include "kg/synthetic.h"
+#include "obs/journal.h"
 #include "obs/trace.h"
 #include "query/sampler.h"
 #include "query/structures.h"
@@ -119,6 +123,63 @@ TEST_F(QueryServerTest, CacheHitMatchesUncachedAnswer) {
   EXPECT_EQ(second->entities, baseline->entities);
   EXPECT_EQ(second->distances, baseline->distances);
   EXPECT_GE(cached.metrics()->CounterValue("serving.cache_hits"), 1);
+}
+
+// A request answered from the cache at Submit and one finished by a
+// worker go through the same completion bookkeeping: latency histogram,
+// root span, serve journal and query-stats record, under one fingerprint.
+TEST_F(QueryServerTest, SubmitHitsAndWorkerFinishesShareOneCompletionPath) {
+  std::ostringstream sink;
+  std::unique_ptr<obs::ServeJournal> journal =
+      obs::ServeJournal::ToStream(&sink);
+  obs::Tracer tracer;
+  tracer.set_enabled(true);
+  ServerOptions options;
+  options.num_workers = 1;
+  options.serve_journal = journal.get();
+  options.tracer = &tracer;
+  QueryServer server(model_, &dataset_->train, options);
+
+  const query::GroundedQuery q = SampleQueries(StructureId::k2i, 1, 41)[0];
+  Result<TopKAnswer> miss = server.Answer(q.graph, 5);
+  Result<TopKAnswer> hit = server.Answer(q.graph, 5);
+  ASSERT_TRUE(miss.ok() && hit.ok());
+  EXPECT_FALSE(miss->from_cache);
+  EXPECT_TRUE(hit->from_cache);
+
+  const std::string hex = query::CanonicalFingerprint(q.graph).ToHex();
+  std::istringstream lines(sink.str());
+  std::string line;
+  for (const bool cache_hit : {false, true}) {
+    ASSERT_TRUE(std::getline(lines, line));
+    auto record = obs::ParseJsonLine(line);
+    ASSERT_TRUE(record.ok()) << line;
+    EXPECT_EQ(obs::FindKey(*record, "fingerprint")->string_value, hex);
+    EXPECT_EQ(obs::FindKey(*record, "status")->string_value, "OK");
+    EXPECT_EQ(obs::FindKey(*record, "cache_hit")->bool_value, cache_hit);
+    EXPECT_NE(obs::FindKey(*record, "trace_id")->string_value, "0");
+  }
+  EXPECT_FALSE(std::getline(lines, line));
+
+  obs::QueryStatsStore::Stats stats;
+  ASSERT_TRUE(server.query_stats()->Lookup(hex, &stats));
+  EXPECT_EQ(stats.fingerprint, hex);
+  EXPECT_EQ(stats.hits, 2);
+  EXPECT_EQ(stats.cache_hits, 1);
+  EXPECT_EQ(stats.latency_us.count, 2);
+  EXPECT_GT(stats.plan_nodes, 0);  // from the worker-finished request
+
+  EXPECT_EQ(server.metrics()
+                ->GetHistogram("serving.latency_us",
+                               Histogram::ExponentialBounds(1.0, 2.0, 26))
+                ->count(),
+            2);
+  const obs::Trace hit_trace = tracer.Collect(hit->trace_id);
+  ASSERT_NE(hit_trace.Find("request"), nullptr);
+  EXPECT_EQ(hit_trace.Find("request")->annotation("cache_hit"), 1.0);
+  const obs::Trace miss_trace = tracer.Collect(miss->trace_id);
+  ASSERT_NE(miss_trace.Find("request"), nullptr);
+  EXPECT_EQ(miss_trace.Find("request")->annotation("ok"), 1.0);
 }
 
 TEST_F(QueryServerTest, SmallerKIsServedFromLargerCachedEntry) {

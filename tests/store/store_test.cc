@@ -1,5 +1,6 @@
 #include "store/store.h"
 
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <cstdio>
@@ -620,6 +621,89 @@ TEST_F(StoreServingTest, ServingModelRequiresParams) {
 TEST_F(StoreServingTest, MissingManifestIsCleanError) {
   auto store = EmbeddingStore::Open(TempPath("no_such_snapshot"), {});
   EXPECT_FALSE(store.ok());
+}
+
+// Golden bytes of both tensor-blob flavours: a tiny fixed-seed HaLk model
+// whose parameters are overwritten with exactly representable values (so
+// the pinned bytes do not depend on the platform's libm), saved as a
+// HALKCKPT checkpoint and as a snapshot's HALKPRMB params blob. A codec
+// change that moves a single byte of either format fails here.
+class BlobGoldenTest : public ::testing::Test {
+ protected:
+  static core::ModelConfig GoldenConfig() {
+    core::ModelConfig config;
+    config.num_entities = 12;
+    config.num_relations = 3;
+    config.dim = 4;
+    config.hidden = 8;
+    config.seed = 5;
+    return config;
+  }
+
+  static void FillGolden(core::HalkModel* model) {
+    std::vector<tensor::Tensor> params = model->Parameters();
+    for (size_t t = 0; t < params.size(); ++t) {
+      float* data = params[t].data();
+      for (int64_t i = 0; i < params[t].numel(); ++i) {
+        const uint64_t v = (t * 131 + static_cast<uint64_t>(i) * 17) % 97;
+        data[i] = static_cast<float>(v) / 32.0f - 1.5f;
+      }
+    }
+  }
+
+  static uint64_t FileHash(const std::string& path) {
+    return Fnv1a64(SlurpFile(path));
+  }
+};
+
+TEST_F(BlobGoldenTest, CheckpointBytesArePinned) {
+  core::HalkModel model(GoldenConfig(), nullptr);
+  FillGolden(&model);
+  const std::string path = TempPath("golden.halkckpt");
+  ASSERT_TRUE(core::SaveCheckpoint(model, path).ok());
+  EXPECT_EQ(SlurpFile(path).size(), 4168u);
+  EXPECT_EQ(FileHash(path), 0x29de20230e1ac00dULL);
+  std::remove(path.c_str());
+}
+
+TEST_F(BlobGoldenTest, ParamsBlobBytesArePinned) {
+  core::HalkModel model(GoldenConfig(), nullptr);
+  FillGolden(&model);
+  const std::string dir = TempPath("golden_snapshot");
+  ASSERT_TRUE(WriteModelSnapshot(model, dir, /*num_shards=*/1).ok());
+  const std::string path = dir + "/" + kParamsFileName;
+  EXPECT_EQ(SlurpFile(path).size(), 3968u);
+  EXPECT_EQ(FileHash(path), 0xcc9eb276e62d379eULL);
+}
+
+// Every blob and the manifest are replaced through a tmp file, fsynced
+// before the rename: a rewrite that fails midway leaves the previous
+// snapshot byte-identical and servable.
+TEST_F(BlobGoldenTest, FailedSnapshotRewriteKeepsThePreviousSnapshot) {
+  core::HalkModel model(GoldenConfig(), nullptr);
+  FillGolden(&model);
+  const std::string dir = TempPath("durable_snapshot");
+  const std::string params = dir + "/" + kParamsFileName;
+  const std::string manifest = dir + "/" + kManifestFileName;
+  ::rmdir((params + ".tmp").c_str());
+  ::rmdir((manifest + ".tmp").c_str());
+  ASSERT_TRUE(WriteModelSnapshot(model, dir, /*num_shards=*/1).ok());
+  const std::string params_before = SlurpFile(params);
+  const std::string manifest_before = SlurpFile(manifest);
+
+  for (const std::string& blocked : {params, manifest}) {
+    const std::string tmp = blocked + ".tmp";
+    ASSERT_EQ(::mkdir(tmp.c_str(), 0755), 0) << tmp;
+    EXPECT_EQ(WriteModelSnapshot(model, dir, /*num_shards=*/1).code(),
+              StatusCode::kIOError)
+        << tmp;
+    EXPECT_EQ(SlurpFile(params), params_before) << tmp;
+    EXPECT_EQ(SlurpFile(manifest), manifest_before) << tmp;
+    auto store = EmbeddingStore::Open(dir, {});
+    ASSERT_TRUE(store.ok()) << store.status().ToString();
+    EXPECT_TRUE(OpenServingModel(**store, nullptr).ok()) << tmp;
+    ASSERT_EQ(::rmdir(tmp.c_str()), 0);
+  }
 }
 
 }  // namespace

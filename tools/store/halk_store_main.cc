@@ -84,18 +84,9 @@ int Verify(const std::string& dir) {
   if (halk::Status s = (*store)->VerifyChecksums(); !s.ok()) return Fail(s);
   const halk::store::StoreSnapshot& snap = (*store)->snapshot();
   if (snap.has_params) {
-    std::string name;
-    halk::core::ModelConfig config;
-    std::vector<std::vector<float>> tensors;
-    uint64_t checksum = 0;
-    halk::Status s = halk::store::ReadParamsBlob(
-        dir + "/" + halk::store::kParamsFileName, &name, &config, &tensors,
-        &checksum);
+    halk::core::TensorBlob params;
+    halk::Status s = halk::store::ReadParamsBlob(dir, snap, &params);
     if (!s.ok()) return Fail(s);
-    if (checksum != snap.params_checksum) {
-      return Fail(halk::Status::ParseError(
-          "params blob checksum disagrees with manifest"));
-    }
   }
   std::printf("ok: %lld shard files, %zu bytes, params %s\n",
               static_cast<long long>((*store)->num_shard_files()),

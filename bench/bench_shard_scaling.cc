@@ -351,13 +351,12 @@ int RunOutOfCore(int64_t num_entities, bool fast) {
                              256));
     auto writer = store::SnapshotWriter::Create(options);
     HALK_CHECK(writer.ok()) << writer.status().ToString();
-    std::vector<std::vector<float>> params;
-    {
-      const std::vector<tensor::Tensor> tensors = donor.Parameters();
-      for (size_t i = 1; i < tensors.size(); ++i) {
-        params.emplace_back(tensors[i].data(),
-                            tensors[i].data() + tensors[i].numel());
-      }
+    // The views point into `tensors`, which outlives Finish below.
+    const std::vector<tensor::Tensor> tensors = donor.Parameters();
+    std::vector<core::TensorView> params;
+    for (size_t i = 1; i < tensors.size(); ++i) {
+      params.push_back(
+          {tensors[i].data(), static_cast<size_t>(tensors[i].numel())});
     }
     HALK_CHECK((*writer)->SetParams(std::move(params)).ok());
     // Stream the table in: one buffered batch of rows at a time, each row

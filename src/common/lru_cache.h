@@ -31,8 +31,8 @@ struct UnitCost {
 /// Thread-safe; one mutex guards the recency list and the index. The
 /// critical sections (a hash lookup and a splice) are far cheaper than the
 /// work the users shield with them, so a sharded design would be
-/// premature. Callbacks passed to Update and EraseIf run under that mutex
-/// and must not call back into the map.
+/// premature. Callbacks passed to Read, Update and EraseIf run under that
+/// mutex and must not call back into the map.
 template <typename K, typename V, typename Hash = std::hash<K>,
           typename Cost = UnitCost>
 class LruCache {
@@ -54,6 +54,24 @@ class LruCache {
     order_.splice(order_.begin(), order_, it->second);
     ++hits_;
     if (out != nullptr) *out = it->second->second;
+    return true;
+  }
+
+  /// Get without the copy: on a hit, applies `fn(const V&)` to the entry
+  /// under the mutex (after marking it most-recently-used and counting the
+  /// hit), so the caller copies out only what it needs. Counts a miss and
+  /// returns false when absent.
+  template <typename Fn>
+  bool Read(const K& key, Fn&& fn) HALK_EXCLUDES(mu_) {
+    MutexLock lock(mu_);
+    auto it = index_.find(key);
+    if (it == index_.end()) {
+      ++misses_;
+      return false;
+    }
+    order_.splice(order_.begin(), order_, it->second);
+    ++hits_;
+    fn(static_cast<const V&>(it->second->second));
     return true;
   }
 

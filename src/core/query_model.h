@@ -55,6 +55,9 @@ struct ScanStats {
   /// Entities abandoned by a bound-aware early exit before their exact
   /// distance was known; 0 for the exhaustive base kernel.
   int64_t entities_pruned = 0;
+  /// Columnar scans only (core/column_scan.h): entities that survived the
+  /// lower-bound prefilter and ran the exact kernel. 0 on in-RAM scans.
+  int64_t entities_reranked = 0;
   /// Columnar-store scans only (src/store/): per-dimension column blocks
   /// actually read vs. skipped because every entity in the row group was
   /// already pruned. Skipped blocks are pages never faulted in — the

@@ -59,6 +59,7 @@ QueryServer::QueryServer(core::QueryModel* model,
       in_flight_(metrics_.GetGauge("serving.in_flight")),
       scan_entities_scanned_(metrics_.GetCounter("scan.entities_scanned")),
       scan_entities_pruned_(metrics_.GetCounter("scan.entities_pruned")),
+      scan_entities_reranked_(metrics_.GetCounter("scan.entities_reranked")),
       plan_requests_(metrics_.GetCounter("plan.requests")),
       plan_nodes_(metrics_.GetCounter("plan.nodes")),
       plan_unique_nodes_(metrics_.GetCounter("plan.unique_nodes")),
@@ -198,20 +199,10 @@ Result<std::future<Result<TopKAnswer>>> QueryServer::Submit(
 
   if (options_.enable_cache) {
     obs::SpanGuard lookup(trace, "cache_lookup");
-    CachedAnswer cached;
-    if (cache_.Get(key, &cached) &&
-        static_cast<int64_t>(cached.entities.size()) >= std::min<int64_t>(
-            k, model_->config().num_entities)) {
+    TopKAnswer answer;
+    if (ServeFromCache(key, k, &answer)) {
       cache_hits_->Increment();
       completed_->Increment();
-      TopKAnswer answer;
-      const size_t take = static_cast<size_t>(
-          std::min<int64_t>(k, static_cast<int64_t>(cached.entities.size())));
-      answer.entities.assign(cached.entities.begin(),
-                             cached.entities.begin() + take);
-      answer.distances.assign(cached.distances.begin(),
-                              cached.distances.begin() + take);
-      answer.from_cache = true;
       answer.trace_id = trace.trace_id;
       if (trace.active()) {
         lookup.Annotate("hit", 1.0);
@@ -275,6 +266,24 @@ void QueryServer::Finish(PendingRequest* request, Result<TopKAnswer> result) {
                    request->trace, request->root_span, request->submit_ns,
                    result, request);
   request->promise.set_value(std::move(result));
+}
+
+bool QueryServer::ServeFromCache(const query::Fingerprint& key, int64_t k,
+                                 TopKAnswer* answer) {
+  const int64_t need = std::min<int64_t>(k, model_->config().num_entities);
+  bool served = false;
+  cache_.Read(key, [&](const CachedAnswer& cached) {
+    const int64_t have = static_cast<int64_t>(cached.entities.size());
+    if (have < need) return;
+    const size_t take = static_cast<size_t>(std::min<int64_t>(k, have));
+    answer->entities.assign(cached.entities.begin(),
+                            cached.entities.begin() + take);
+    answer->distances.assign(cached.distances.begin(),
+                             cached.distances.begin() + take);
+    answer->from_cache = true;
+    served = true;
+  });
+  return served;
 }
 
 void QueryServer::RecordCompletion(const query::Fingerprint& key, int64_t k,
@@ -371,18 +380,8 @@ void QueryServer::ServeChunk(
     }
     if (options_.enable_cache) {
       obs::SpanGuard lookup(request->trace, "cache_lookup");
-      CachedAnswer cached;
-      if (cache_.Get(request->key, &cached) &&
-          static_cast<int64_t>(cached.entities.size()) >=
-              std::min<int64_t>(request->k, model_->config().num_entities)) {
-        TopKAnswer answer;
-        const size_t take = static_cast<size_t>(std::min<int64_t>(
-            request->k, static_cast<int64_t>(cached.entities.size())));
-        answer.entities.assign(cached.entities.begin(),
-                               cached.entities.begin() + take);
-        answer.distances.assign(cached.distances.begin(),
-                                cached.distances.begin() + take);
-        answer.from_cache = true;
+      TopKAnswer answer;
+      if (ServeFromCache(request->key, request->k, &answer)) {
         cache_hits_->Increment();
         lookup.Annotate("hit", 1.0);
         lookup.End();
@@ -624,6 +623,7 @@ void QueryServer::FinishRanked(PendingRequest* request,
                                 &stats);
     scan_entities_scanned_->Increment(stats.entities_scanned);
     scan_entities_pruned_->Increment(stats.entities_pruned);
+    scan_entities_reranked_->Increment(stats.entities_reranked);
     shard::AnnotateScan(&rank, stats);
     rank.End();
     FillAnswer(acc.Take(), &answer);

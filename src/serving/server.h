@@ -275,6 +275,12 @@ class QueryServer {
                     const std::vector<int64_t>& rows);
   [[nodiscard]] Status ValidateQuery(const query::QueryGraph& query, int64_t k) const;
   void Finish(PendingRequest* request, Result<TopKAnswer> result);
+  /// Answer-cache hit path of Submit and of the workers: when the entry for
+  /// `key` holds at least min(k, num_entities) entries, copies its first k
+  /// straight out of the cache (under the cache lock, no intermediate copy)
+  /// into `answer` and returns true.
+  bool ServeFromCache(const query::Fingerprint& key, int64_t k,
+                      TopKAnswer* answer);
   /// The one completion bookkeeping of every request, whether a worker
   /// finished it (`request` set) or Submit answered it from the cache
   /// (`request` null): latency histogram and exemplar, SLO record, root
@@ -318,6 +324,7 @@ class QueryServer {
   // Rank-scan kernel counters, shared with the shard workers' scans.
   Counter* scan_entities_scanned_;
   Counter* scan_entities_pruned_;
+  Counter* scan_entities_reranked_;
 
   Counter* plan_requests_;
   Counter* plan_nodes_;

@@ -71,6 +71,8 @@ ShardCoordinator::ShardCoordinator(core::QueryModel* model,
             metrics_->GetCounter("scan.entities_scanned");
         instruments.entities_pruned =
             metrics_->GetCounter("scan.entities_pruned");
+        instruments.entities_reranked =
+            metrics_->GetCounter("scan.entities_reranked");
       }
       int pin_cpu = -1;
       if (options_.pin_threads) {

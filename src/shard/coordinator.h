@@ -72,8 +72,8 @@ class ShardCoordinator {
   /// `shard.scan_us{shard=...,replica=...}` scan-latency histograms,
   /// `shard.replica_health{shard=...,replica=...}` gauges mirroring each
   /// replica's ReplicaHealth (0 healthy, 1 suspect, 2 down), and the
-  /// registry-wide `scan.entities_scanned` / `scan.entities_pruned` kernel
-  /// counters.
+  /// registry-wide `scan.entities_scanned` / `scan.entities_pruned` /
+  /// `scan.entities_reranked` kernel counters.
   ShardCoordinator(core::QueryModel* model, const ShardOptions& options,
                    ShardFaultInjector* faults = nullptr,
                    serving::MetricsRegistry* metrics = nullptr);

@@ -39,6 +39,8 @@ void AnnotateScan(obs::SpanGuard* span, const core::ScanStats& stats) {
                    static_cast<double>(stats.column_blocks_scanned));
     span->Annotate("column_blocks_skipped",
                    static_cast<double>(stats.column_blocks_skipped));
+    span->Annotate("entities_reranked",
+                   static_cast<double>(stats.entities_reranked));
   }
 }
 
@@ -161,6 +163,9 @@ void ShardWorker::Serve(ShardTask* task) {
   }
   if (instruments_.entities_pruned != nullptr) {
     instruments_.entities_pruned->Increment(stats.entities_pruned);
+  }
+  if (instruments_.entities_reranked != nullptr) {
+    instruments_.entities_reranked->Increment(stats.entities_reranked);
   }
   if (scan.active()) {
     scan.Annotate("shard", shard_index_);

@@ -62,19 +62,22 @@ const char* ReplicaHealthName(ReplicaHealth health);
 /// Metrics a replica feeds; each may be null. `scan_us` receives per-task
 /// scan latency; `health` mirrors the replica's ReplicaHealth as its
 /// numeric value (0 healthy, 1 suspect, 2 down); `entities_scanned` /
-/// `entities_pruned` accumulate the scan kernel's ScanStats (the
-/// registry-wide `scan.*` counters the unsharded server path feeds too).
+/// `entities_pruned` / `entities_reranked` accumulate the scan kernel's
+/// ScanStats (the registry-wide `scan.*` counters the unsharded server path
+/// feeds too).
 struct ShardInstruments {
   serving::Histogram* scan_us = nullptr;
   serving::Gauge* health = nullptr;
   serving::Counter* entities_scanned = nullptr;
   serving::Counter* entities_pruned = nullptr;
+  serving::Counter* entities_reranked = nullptr;
 };
 
 /// Annotates an active rank-scan span (the sharded `replica_scan`, the
 /// unsharded `rank`) with the kernel's counters: entities scanned and
 /// pruned, the early-exit rate, and — store-backed scans only — column
-/// blocks read vs. skipped. No-op on an inactive span.
+/// blocks read vs. skipped and the prefilter survivors that ran the exact
+/// kernel. No-op on an inactive span.
 void AnnotateScan(obs::SpanGuard* span, const core::ScanStats& stats);
 
 /// One replica of one shard: a dedicated thread draining its own bounded

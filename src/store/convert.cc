@@ -36,11 +36,10 @@ Status ConvertCheckpointToSnapshot(const std::string& blob_path,
   std::unique_ptr<SnapshotWriter> writer;
   HALK_ASSIGN_OR_RETURN(writer, SnapshotWriter::Create(options));
   HALK_RETURN_NOT_OK(writer->AppendEntityRows(table.data, c.num_entities));
-  std::vector<std::vector<float>> params;
+  std::vector<core::TensorView> params;
   params.reserve(blob.num_tensors() - 1);
   for (size_t t = 1; t < blob.num_tensors(); ++t) {
-    const core::TensorView p = blob.tensor(t);
-    params.emplace_back(p.data, p.data + p.numel);
+    params.push_back(blob.tensor(t));
   }
   HALK_RETURN_NOT_OK(writer->SetParams(std::move(params)));
   return writer->Finish();

@@ -7,10 +7,8 @@
 
 #include <algorithm>
 #include <cerrno>
-#include <cmath>
 #include <cstdio>
 #include <cstring>
-#include <limits>
 
 #include "common/logging.h"
 #include "common/string_util.h"
@@ -289,26 +287,12 @@ Status MappedShardFile::VerifyChecksums() const {
 void MappedShardFile::Scan(const std::vector<core::ArcConstants>& arcs,
                            int64_t begin, int64_t end,
                            core::TopKAccumulator* acc,
-                           core::ScanStats* stats) const {
+                           core::ScanStats* stats,
+                           const core::ScanKernel& kernel) const {
   const int64_t lo = std::max(begin, header_.entity_begin);
   const int64_t hi = std::min(end, header_.entity_end);
   if (lo >= hi || arcs.empty()) return;
-  const int64_t d = header_.dim;
   const int64_t G = header_.rows_per_group;
-  const size_t nb = arcs.size();
-
-  // Per-(entity, arc) running outside/inside sums and alive flags for one
-  // group, arc-major so the inner loop walks contiguous memory. The scan is
-  // exact (docs/storage.md): each partial d_o + eta*d_i is a lower bound of
-  // the final distance, so pruning a pair against the group-start admission
-  // bound is conservative; a pair that survives every dimension carries the
-  // bit-identical ArcPointDistance value (same per-dimension expressions,
-  // same dimension order), and a pushed minimum can never be beaten by a
-  // pruned arc of the same entity (its exact distance exceeds the bound).
-  std::vector<float> sum_o(static_cast<size_t>(G) * nb);
-  std::vector<float> sum_i(static_cast<size_t>(G) * nb);
-  std::vector<uint8_t> alive(static_cast<size_t>(G) * nb);
-
   const int64_t first_group = (lo - header_.entity_begin) / G;
   const int64_t last_group = (hi - 1 - header_.entity_begin) / G;
   // Bounded-residency mode (OpenOptions::residency_window_bytes): the scan
@@ -318,90 +302,23 @@ void MappedShardFile::Scan(const std::vector<core::ArcConstants>& arcs,
   // the table. Concurrent scans over the same file refault dropped pages;
   // results are unaffected either way.
   const uint64_t window = residency_window_bytes_;
+  core::ColumnScanner scanner(arcs, kernel);
   int64_t drop_from = first_group;
   uint64_t drop_span_bytes = 0;
   for (int64_t g = first_group; g <= last_group; ++g) {
     const int64_t group_first = header_.entity_begin + g * G;
     const int64_t span_lo = std::max(lo, group_first);
     const int64_t span_hi = std::min(hi, group_first + GroupRows(g));
-    const int64_t count = span_hi - span_lo;
-    const int64_t r0 = span_lo - group_first;
-    // The admission bound is frozen per group: it only tightens through
-    // this scan's own pushes, which happen after the group completes, so
-    // pruning against the group-start value stays conservative.
-    const float bound = acc->bound();
-
-    std::fill(sum_o.begin(), sum_o.begin() + count * nb, 0.0f);
-    std::fill(sum_i.begin(), sum_i.begin() + count * nb, 0.0f);
-    std::fill(alive.begin(), alive.begin() + count * nb, uint8_t{1});
-    int64_t alive_pairs = count * static_cast<int64_t>(nb);
-
-    int64_t dims_read = 0;
-    for (int64_t j = 0; j < d && alive_pairs > 0; ++j) {
-      ++dims_read;
-      const float* col = ColumnBlock(g, j) + r0;
-      for (size_t b = 0; b < nb; ++b) {
-        const core::ArcConstants& arc = arcs[b];
-        const float rho = arc.rho;
-        const float eta = arc.eta;
-        const float center = arc.center[static_cast<size_t>(j)];
-        const float half_width = arc.half_width[static_cast<size_t>(j)];
-        const float a_s = arc.a_s[static_cast<size_t>(j)];
-        const float a_e = arc.a_e[static_cast<size_t>(j)];
-        float* o = sum_o.data() + b * static_cast<size_t>(count);
-        float* in = sum_i.data() + b * static_cast<size_t>(count);
-        uint8_t* live = alive.data() + b * static_cast<size_t>(count);
-        for (int64_t i = 0; i < count; ++i) {
-          if (!live[i]) continue;
-          // Same float expressions and accumulation order as
-          // ArcPointDistanceBounded (core/distance.cc) — the bit-identity
-          // contract of the store-backed scan.
-          const float theta = col[i];
-          const float to_center =
-              2.0f * rho * std::fabs(std::sin((theta - center) / 2.0f));
-          if (to_center > half_width) {
-            const float to_start =
-                2.0f * rho * std::fabs(std::sin((theta - a_s) / 2.0f));
-            const float to_end =
-                2.0f * rho * std::fabs(std::sin((theta - a_e) / 2.0f));
-            o[i] += std::min(to_start, to_end);
-            in[i] += half_width;
-          } else {
-            in[i] += to_center;
-          }
-          const float partial = o[i] + eta * in[i];
-          if (partial > bound) {
-            live[i] = 0;
-            --alive_pairs;
-          }
-        }
-      }
-    }
-    if (stats != nullptr) {
-      stats->column_blocks_scanned += dims_read;
-      stats->column_blocks_skipped += d - dims_read;
-    }
-
-    for (int64_t i = 0; i < count; ++i) {
-      float dmin = std::numeric_limits<float>::infinity();
-      bool any_alive = false;
-      for (size_t b = 0; b < nb; ++b) {
-        const size_t idx = b * static_cast<size_t>(count) +
-                           static_cast<size_t>(i);
-        if (!alive[idx]) continue;
-        any_alive = true;
-        const float full =
-            sum_o[idx] + arcs[b].eta * sum_i[idx];
-        dmin = std::min(dmin, full);
-      }
-      // dmin <= bound implies every pruned arc of this entity has a larger
-      // exact distance, so dmin is the exact minimum over all arcs.
-      if (any_alive && dmin <= bound) {
-        acc->Push(span_lo + i, dmin);
-      } else if (stats != nullptr) {
-        ++stats->entities_pruned;
-      }
-    }
+    // The group's column blocks are equally sized and consecutive, so the
+    // group is one dimension-minor view for the column scanner (exact, see
+    // core/column_scan.h and docs/storage.md).
+    core::ColumnBlockView view;
+    view.columns = ColumnBlock(g, 0) + (span_lo - group_first);
+    view.column_stride =
+        static_cast<int64_t>(GroupBlockBytes(header_, g) / sizeof(float));
+    view.rows = span_hi - span_lo;
+    view.first_entity = span_lo;
+    scanner.Scan(view, acc, stats);
 
     if (window > 0) {
       drop_span_bytes += header_.dim * GroupBlockBytes(header_, g);
@@ -414,7 +331,6 @@ void MappedShardFile::Scan(const std::vector<core::ArcConstants>& arcs,
       }
     }
   }
-  if (stats != nullptr) stats->entities_scanned += hi - lo;
 }
 
 void MappedShardFile::DropRange(uint64_t offset, uint64_t bytes) const {

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "common/status.h"
+#include "core/column_scan.h"
 #include "core/distance.h"
 #include "core/query_model.h"
 #include "core/topk.h"
@@ -114,14 +115,16 @@ class MappedShardFile {
 
   /// Bound-aware columnar top-k scan of global ids
   /// [max(begin, entity_begin), min(end, entity_end)): min arc distance
-  /// over `arcs` per entity, exact w.r.t. the in-RAM kernel (see
-  /// docs/storage.md for the exactness argument). Walks each row group
-  /// dimension by dimension and skips the group's remaining column blocks
-  /// once every (entity, arc) pair is pruned against the accumulator
-  /// bound — skipped blocks are pages never read.
+  /// over `arcs` per entity, exact w.r.t. the in-RAM kernel. Each row group
+  /// goes through core::ColumnScanner — a vectorized lower-bound
+  /// prefilter, then the exact kernel on its survivors (docs/storage.md).
+  /// A group's remaining column blocks are skipped once the prefilter has
+  /// pruned every (entity, arc) pair of each sub-block — skipped blocks are
+  /// pages the prefilter never reads. `kernel` selects the prefilter
+  /// variant; every variant gives the same result.
   void Scan(const std::vector<core::ArcConstants>& arcs, int64_t begin,
-            int64_t end, core::TopKAccumulator* acc,
-            core::ScanStats* stats) const;
+            int64_t end, core::TopKAccumulator* acc, core::ScanStats* stats,
+            const core::ScanKernel& kernel = core::DefaultScanKernel()) const;
 
   /// Re-reads every column block against the checksum table.
   [[nodiscard]] Status VerifyChecksums() const;

@@ -102,7 +102,7 @@ Status SnapshotWriter::AppendEntityRows(const float* rows, int64_t n) {
   return Status::OK();
 }
 
-Status SnapshotWriter::SetParams(std::vector<std::vector<float>> tensors) {
+Status SnapshotWriter::SetParams(std::vector<core::TensorView> tensors) {
   if (finished_) return Status::InvalidArgument("snapshot already finished");
   params_ = std::move(tensors);
   has_params_ = true;
@@ -122,17 +122,12 @@ Status SnapshotWriter::Finish() {
     snapshot_.shards[i].header_checksum = writers_[i]->header_checksum();
   }
   if (has_params_) {
-    std::vector<core::TensorView> views;
-    views.reserve(params_.size());
-    for (const std::vector<float>& t : params_) {
-      views.push_back({t.data(), t.size()});
-    }
     snapshot_.has_params = true;
     HALK_ASSIGN_OR_RETURN(
         snapshot_.params_checksum,
         core::WriteTensorBlob(options_.dir + "/" + kParamsFileName,
                               core::kParamsBlobMagic, snapshot_.model_name,
-                              snapshot_.config, views));
+                              snapshot_.config, params_));
   }
   // Manifest last: its presence is what makes the directory a loadable
   // snapshot.
@@ -154,15 +149,14 @@ Status WriteModelSnapshot(const core::HalkModel& model,
   HALK_RETURN_NOT_OK(writer->AppendEntityRows(
       table.data(), options.config.num_entities));
   // Everything but the entity table (Parameters() index 0) rides in the
-  // params blob.
+  // params blob, written straight from the model's tensors.
   const std::vector<tensor::Tensor> params = model.Parameters();
-  std::vector<std::vector<float>> tensors;
-  tensors.reserve(params.size() - 1);
+  std::vector<core::TensorView> views;
+  views.reserve(params.size() - 1);
   for (size_t i = 1; i < params.size(); ++i) {
-    const tensor::Tensor& p = params[i];
-    tensors.emplace_back(p.data(), p.data() + p.numel());
+    views.push_back({params[i].data(), static_cast<size_t>(params[i].numel())});
   }
-  HALK_RETURN_NOT_OK(writer->SetParams(std::move(tensors)));
+  HALK_RETURN_NOT_OK(writer->SetParams(std::move(views)));
   return writer->Finish();
 }
 

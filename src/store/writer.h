@@ -55,8 +55,9 @@ class SnapshotWriter {
   [[nodiscard]] Status AppendEntityRows(const float* rows, int64_t n);
 
   /// Optional non-entity parameters (HalkModel::Parameters() order minus
-  /// the entity table). Call before Finish.
-  [[nodiscard]] Status SetParams(std::vector<std::vector<float>> tensors);
+  /// the entity table). The floats are not copied: each view must stay
+  /// valid and unchanged until Finish returns. Call before Finish.
+  [[nodiscard]] Status SetParams(std::vector<core::TensorView> tensors);
 
   /// Finalizes every shard file, writes the params blob (if set) and the
   /// manifest. Requires exactly config.num_entities appended rows.
@@ -68,7 +69,7 @@ class SnapshotWriter {
   SnapshotWriterOptions options_;
   StoreSnapshot snapshot_;
   std::vector<std::unique_ptr<ShardFileWriter>> writers_;
-  std::vector<std::vector<float>> params_;
+  std::vector<core::TensorView> params_;
   bool has_params_ = false;
   int64_t appended_rows_ = 0;
   int64_t current_file_ = 0;

@@ -55,6 +55,24 @@ TEST(CommonLruCacheTest, OverwriteRechargesTheEntry) {
   EXPECT_EQ(cache.charged(), 7u);
 }
 
+TEST(CommonLruCacheTest, ReadVisitsInPlaceLikeAGet) {
+  ByteCache cache(100);
+  cache.Put(1, "abcdef");
+  cache.Put(2, "xy");
+  std::string prefix;
+  EXPECT_TRUE(cache.Read(1, [&](const std::string& value) {
+    prefix = value.substr(0, 3);
+  }));
+  EXPECT_EQ(prefix, "abc");
+  // A hit counts and refreshes recency exactly as Get does.
+  EXPECT_EQ(Keys(cache.Snapshot()), (std::vector<int>{1, 2}));
+  EXPECT_EQ(cache.hits(), 1);
+  bool called = false;
+  EXPECT_FALSE(cache.Read(3, [&](const std::string&) { called = true; }));
+  EXPECT_FALSE(called);
+  EXPECT_EQ(cache.misses(), 1);
+}
+
 TEST(CommonLruCacheTest, PeekAndContainsHaveNoSideEffects) {
   LruCache<int, int> cache(2);
   cache.Put(1, 10);

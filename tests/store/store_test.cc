@@ -529,9 +529,9 @@ TEST_F(StoreServingTest, UnshardedServerOverStoreIsBitIdenticalAndSkipsBlocks) {
                                      model_->config().num_entities)
                   .ok());
   const std::vector<tensor::Tensor> params = model_->Parameters();
-  std::vector<std::vector<float>> blob;
+  std::vector<core::TensorView> blob;
   for (size_t i = 1; i < params.size(); ++i) {  // [0] is the entity table
-    blob.emplace_back(params[i].data(), params[i].data() + params[i].numel());
+    blob.push_back({params[i].data(), static_cast<size_t>(params[i].numel())});
   }
   ASSERT_TRUE((*writer)->SetParams(std::move(blob)).ok());
   ASSERT_TRUE((*writer)->Finish().ok());
